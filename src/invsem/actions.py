@@ -6,7 +6,6 @@ Everything downstream of the restricted pair product relies on it.
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -256,80 +255,34 @@ def enumerate_endomorphisms(K, bound=ENDO_BOUND):
     n = K.order
     if n > bound:
         raise TooLarge("endomorphism enumeration", n, bound)
-    total = n ** n
-    Kt = K.table
-    step = max(1, (1 << 22) // max(1, n * n))
-    keep = []
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total))
-        M = _mixed_radix(idx, n, n)
-        good = (M[:, Kt] == Kt[M[:, :, None], M[:, None, :]]).all(axis=(1, 2))
-        keep.append(M[good])
-    return np.concatenate(keep, axis=0)
+    return np.array(list(morphisms.search_homomorphisms(K.table, K.table, [range(n)] * n)))
 
 
 def _product_generators(T):
     """Greedy generating set under products alone (no inverses)."""
-    n = T.order
     gens = []
-    known = set()
-    for t in range(n):
-        if t in known:
-            continue
-        gens.append(t)
-        known = set(gens)
-        frontier = list(known)
-        while frontier:
-            fresh = set()
-            for a in frontier:
-                for b in list(known):
-                    fresh.add(int(T.table[a, b]))
-                    fresh.add(int(T.table[b, a]))
-            fresh -= known
-            known |= fresh
-            frontier = list(fresh)
+    known = frozenset()
+    for t in range(T.order):
+        if t not in known:
+            gens.append(t)
+            known = core.product_closure(T.table, gens)
     return gens
 
 
 def enumerate_actions(T, K):
-    """All actions of T on K by endomorphisms, deterministically ordered."""
+    """All actions of T on K by endomorphisms, deterministically ordered.
+
+    An action is a homomorphism from T into End(K) under composition; the
+    generators come first in the search, and they force every other value.
+    """
     endos = enumerate_endomorphisms(K)
-    key = {e.tobytes(): i for i, e in enumerate(endos)}
-
-    def comp(i, j):
-        # (i after j), because (tu).a = t.(u.a)
-        return key[endos[i][endos[j]].tobytes()]
-
+    # lexicographic order makes the base-|K| codes of the endomorphisms sorted
+    weights = K.order ** np.arange(K.order - 1, -1, -1)
+    comp = np.searchsorted(endos @ weights, endos[:, endos] @ weights)  # (i after j)
     gens = _product_generators(T)
-    n = T.order
-    out = []
-    for choice in iproduct(range(len(endos)), repeat=len(gens)):
-        assigned = {}
-        ok = True
-        pending = list(zip(gens, choice))
-        pairqueue = []
-        for t, ei in pending:
-            assigned[t] = ei
-        for x in assigned:
-            for y in assigned:
-                pairqueue.append((x, y))
-        while pairqueue and ok:
-            x, y = pairqueue.pop()
-            z = int(T.table[x, y])
-            val = comp(assigned[x], assigned[y])
-            if z in assigned:
-                if assigned[z] != val:
-                    ok = False
-            else:
-                assigned[z] = val
-                for w in list(assigned):
-                    pairqueue.append((z, w))
-                    pairqueue.append((w, z))
-        if not ok or len(assigned) != n:
-            continue
-        act = np.stack([endos[assigned[t]] for t in range(n)])
-        out.append(validate_action(T, K, act))
-    return out
+    order = gens + [t for t in range(T.order) if t not in gens]
+    found = morphisms.search_homomorphisms(T.table, comp, [range(len(endos))] * T.order, order)
+    return [validate_action(T, K, endos[m]) for m in found]
 
 
 def enumerate_actions_naive(T, K, bound=NAIVE_ACTION_BOUND):
@@ -360,15 +313,5 @@ def enumerate_actions_naive(T, K, bound=NAIVE_ACTION_BOUND):
 def enumerate_surjective_eps(K, T):
     """Every surjective idempotent-valued multiplicative map K -> E(T)."""
     E, elems = core.idempotent_semilattice(T)
-    nE, nK = E.order, K.order
-    total = nE ** nK
-    out = []
-    step = max(1, (1 << 22) // max(1, nK * nK))
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total))
-        M = _mixed_radix(idx, nK, nE)
-        hom = (M[:, K.table] == E.table[M[:, :, None], M[:, None, :]]).all(axis=(1, 2))
-        surj = (M[:, :, None] == np.arange(nE)[None, None, :]).any(axis=1).all(axis=1)
-        for row in M[hom & surj]:
-            out.append(validate_eps(K, T, elems[row]))
-    return out
+    found = morphisms.search_homomorphisms(K.table, E.table, [range(E.order)] * K.order)
+    return [validate_eps(K, T, elems[m]) for m in found if len(set(m.tolist())) == E.order]

@@ -11,6 +11,7 @@ over the quotient.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -176,44 +177,23 @@ def enumerate_transversals(S, theta, want_split=False, he=None,
         total *= max(1, len(c))
         if total > cap:
             raise TooLarge("transversal search space", total, cap)
-    tab = he.sg.table
-    xi = np.full(Q.order, -1, dtype=np.int64)
-
-    def consistent(t):
-        if not want_split:
-            return True
-        for u in range(Q.order):
-            if xi[u] < 0:
-                continue
-            for a, b in ((t, u), (u, t)):
-                v = int(Q.table[a, b])
-                if xi[v] >= 0 and tab[xi[a], xi[b]] != xi[v]:
-                    return False
-        return True
-
-    def rec(t):
-        if t == Q.order:
-            tr = Transversal(he, xi.copy(), want_split)
-            try:
-                validate_transversal(tr)
-            except TransversalInvalid:
-                return
-            yield tr
-            return
-        for pos in cands[t]:
-            xi[t] = pos
-            if consistent(t):
-                yield from rec(t + 1)
-            xi[t] = -1
-
-    yield from rec(0)
+    if want_split:
+        # a split choice is a homomorphism Q -> hull members inside the fibers
+        choices = morphisms.search_homomorphisms(Q.table, he.sg.table, cands)
+    else:
+        choices = product(*cands)
+    for xi in choices:
+        tr = Transversal(he, np.array(xi, dtype=np.int64), want_split)
+        try:
+            validate_transversal(tr)
+        except TransversalInvalid:
+            continue
+        yield tr
 
 
 def find_transversal(S, theta, want_split=False, he=None,
                      bound=trhull.HULL_BOUND, cap=SEARCH_CAP):
-    for tr in enumerate_transversals(S, theta, want_split, he, bound, cap):
-        return tr
-    return None
+    return next(enumerate_transversals(S, theta, want_split, he, bound, cap), None)
 
 
 def dominant_rep_candidates(S, theta):
@@ -235,34 +215,11 @@ def classical_billhardt_on(S, theta, want_split=False):
         return False, None
     if not want_split:
         return True, [c[0] for c in cands]
-    k = theta.class_count
-    c_of = theta.class_of
-    reps = [-1] * k
-
-    def rec(i):
-        if i == k:
-            return True
-        for m in cands[i]:
-            reps[i] = m
-            ok = True
-            for j in range(i + 1):
-                if reps[j] < 0:
-                    continue
-                for a, b in ((i, j), (j, i)):
-                    v = int(S.table[reps[a], reps[b]])
-                    if c_of[v] <= i and reps[c_of[v]] != v:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok and rec(i + 1):
-                return True
-            reps[i] = -1
-        return False
-
-    if rec(0):
-        return True, list(reps)
-    return False, None
+    # a closed system is a homomorphism S/theta -> S choosing within the classes
+    reps = theta.reps()
+    quotient_table = theta.class_of[S.table[np.ix_(reps, reps)]]
+    m = next(morphisms.search_homomorphisms(quotient_table, S.table, cands), None)
+    return (False, None) if m is None else (True, m.tolist())
 
 
 def _subsemigroups_containing_inner(he, extras_cap=PROP_EXTRAS_CAP):

@@ -87,7 +87,17 @@ def _digest(path):
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _field(data, key, path):
+    """data[key], or a usage error naming the file that lacks it."""
+    if not isinstance(data, dict) or key not in data:
+        raise UsageError(f"{path} has no {key!r} key")
+    return data[key]
 
 
 def _load_instance(path):
@@ -156,13 +166,13 @@ def cmd_congruences(args):
 
 
 def _action_from_file(path, T, K):
-    data = _load_json(path)
-    return actions.validate_action(T, K, np.asarray(data["act"], dtype=np.int64))
+    act = _field(_load_json(path), "act", path)
+    return actions.validate_action(T, K, np.asarray(act, dtype=np.int64))
 
 
 def _eps_from_file(path, K, T):
-    data = _load_json(path)
-    return actions.validate_eps(K, T, np.asarray(data["map"], dtype=np.int64))
+    values = _field(_load_json(path), "map", path)
+    return actions.validate_eps(K, T, np.asarray(values, dtype=np.int64))
 
 
 def cmd_product(args):
@@ -189,9 +199,9 @@ def cmd_product(args):
     elif args.kind == "hwr-eta":
         if not args.eta:
             raise UsageError("product hwr-eta requires --eta")
-        data = _load_json(args.eta)
+        values = _field(_load_json(args.eta), "map", args.eta)
         report.digests[args.eta] = _digest(args.eta)
-        triple = morphisms.make_triple(K, T, np.asarray(data["map"], dtype=np.int64))
+        triple = morphisms.make_triple(K, T, np.asarray(values, dtype=np.int64))
         P = products.build_hwr_eta(triple)
     else:
         P = products.build_lwr(K, T)
@@ -232,7 +242,7 @@ def cmd_trhull(args):
         for i in outer]
     if args.congruence:
         report.digests[args.congruence] = _digest(args.congruence)
-        labels = _load_json(args.congruence)["class_of"]
+        labels = _field(_load_json(args.congruence), "class_of", args.congruence)
         theta = congruences.is_congruence(S, labels)
         respecting = sum(trhull.respects(w, theta) for w in hull.elements)
         report.extra["respecting_order"] = respecting
@@ -271,12 +281,14 @@ def cmd_check_solution(args):
     report.digests[args.triple] = _digest(args.triple)
     report.digests[args.solution] = _digest(args.solution)
     tdata = _load_json(args.triple)
-    K = core.from_dict(tdata["k"])
-    T = core.from_dict(tdata["t"])
-    triple = morphisms.make_triple(K, T, np.asarray(tdata["eta"], dtype=np.int64))
+    K = core.from_dict(_field(tdata, "k", args.triple))
+    T = core.from_dict(_field(tdata, "t", args.triple))
+    eta = np.asarray(_field(tdata, "eta", args.triple), dtype=np.int64)
+    triple = morphisms.make_triple(K, T, eta)
     sdata = _load_json(args.solution)
-    S = core.from_dict(sdata["s"])
-    theta = congruences.is_congruence(S, sdata["theta"]["class_of"])
+    S = core.from_dict(_field(sdata, "s", args.solution))
+    labels = _field(_field(sdata, "theta", args.solution), "class_of", args.solution)
+    theta = congruences.is_congruence(S, labels)
     sol = morphisms.ExtensionSolution(S, theta)
     ok, witness = morphisms.solves(triple, sol)
     report.checks.append(Check("solves", ok, witness))
@@ -297,7 +309,7 @@ def cmd_billhardt(args):
     report.digests[args.instance] = _digest(args.instance)
     report.digests[args.congruence] = _digest(args.congruence)
     S = _load_instance(args.instance)
-    labels = _load_json(args.congruence)["class_of"]
+    labels = _field(_load_json(args.congruence), "class_of", args.congruence)
     theta = congruences.is_congruence(S, labels)
     he = trhull.hull_of_extension(S, theta)
     tr = billhardt.find_transversal(S, theta, want_split=args.split, he=he)
@@ -604,13 +616,14 @@ VERIFIERS = {
 def cmd_verify(args):
     report = Report(command=["verify", args.name])
     names = list(VERIFIERS) if args.name == "all" else [args.name]
-    if args.seed is not None:
-        report.extra["seed"] = args.seed
     for name in names:
         kwargs = {"jobs": args.jobs}
         if args.max_order is not None:
             kwargs["max_order"] = args.max_order
-        for check in VERIFIERS[name](**kwargs):
+        # a sweep that checked nothing has shown nothing
+        checks = VERIFIERS[name](**kwargs) or [
+            Check("sweep-nonvacuous", False, {"max_order": args.max_order})]
+        for check in checks:
             report.checks.append(Check(f"{name}:{check.name}", check.passed,
                                        check.witness))
     if args.sweep:
@@ -706,8 +719,6 @@ def build_parser():
     q = sub.add_parser("verify", parents=[common], help="run a statement verifier suite")
     q.add_argument("name", choices=list(VERIFIERS) + ["all"])
     q.add_argument("--max-order", type=int, default=None)
-    q.add_argument("--seed", type=int, default=None,
-                   help="recorded for reproducibility of sampled sweeps")
     q.add_argument("--jobs", type=int, default=1)
     q.add_argument("--sweep", help="directory of extra instance JSONs")
     q.set_defaults(fn=cmd_verify)

@@ -199,26 +199,27 @@ def principal_left_ideal(S, t):
     return ElementSet(S, frozenset(int(x) for x in S.table[:, t]))
 
 
+def product_closure(table, seeds):
+    """Least set of indices containing seeds and closed under the table's product."""
+    members = set(int(x) for x in seeds)
+    frontier = sorted(members)
+    while frontier:
+        current = sorted(members)
+        fresh = set(table[np.ix_(frontier, current)].ravel().tolist())
+        fresh.update(table[np.ix_(current, frontier)].ravel().tolist())
+        fresh -= members
+        members |= fresh
+        frontier = sorted(fresh)
+    return frozenset(members)
+
+
 def generated_subsemigroup(S, gens):
     """Least subset closed under product and inverse containing gens."""
     seed = set(int(g) for g in gens)
     if not seed:
         raise ValueError("gens must be nonempty")
-    T = S.table
-    members = seed | {int(S.inv[g]) for g in seed}
-    frontier = sorted(members)
-    while frontier:
-        current = sorted(members)
-        fresh = set()
-        for a in frontier:
-            fresh.update(int(x) for x in T[a, current])
-            fresh.update(int(x) for x in T[current, a])
-        fresh -= members
-        # generators closed under inverse, so the closure is too; keep it explicit
-        fresh |= {int(S.inv[a]) for a in fresh} - members
-        members |= fresh
-        frontier = sorted(fresh)
-    return ElementSet(S, frozenset(members))
+    # (ab)^-1 = b^-1 a^-1, so closing inverse-closed generators under products keeps inverses
+    return ElementSet(S, product_closure(S.table, seed | {int(S.inv[g]) for g in seed}))
 
 
 def subsemigroup(S, members):

@@ -1,9 +1,13 @@
-"""Homomorphisms, isomorphism search, and extension problems.
+"""Homomorphisms, the homomorphism search, and extension problems.
 
 An extension problem is a kernel semigroup K, a quotient T, and a
 surjection from K onto the idempotents of T.  A candidate answer is a
 semigroup with a congruence; `solves` decides whether it realizes the
 problem and returns the witnessing pair of isomorphisms.
+
+`search_homomorphisms` is the one search behind every enumerator that
+looks for a product-preserving map: endomorphisms, actions and eps maps
+in `actions`, isomorphisms here, split transversals in `billhardt`.
 """
 
 from dataclasses import dataclass
@@ -85,66 +89,78 @@ def _profiles(S):
     return out
 
 
-def _iso_search(S, S2, allowed=None, find_all=False):
-    """Backtracking isomorphism search; yields maps when find_all, else first."""
-    n = S.order
-    results = []
-    if S2.order != n:
-        return results if find_all else None
-    p1, p2 = _profiles(S), _profiles(S2)
-    if sorted(p1) != sorted(p2):
-        return results if find_all else None
-    cand = []
-    for a in range(n):
-        row = [b for b in range(n) if p1[a] == p2[b]
-               and (allowed is None or allowed[a][b])]
-        if not row:
-            return results if find_all else None
-        cand.append(row)
-    order = sorted(range(n), key=lambda a: len(cand[a]))
-    T1, T2 = S.table, S2.table
-    m = np.full(n, -1, dtype=np.int64)
-    used = [False] * n
+def search_homomorphisms(src, dst, domains, order=None, injective=False):
+    """Every map m with m[x] in domains[x] and m[src[x, y]] = dst[m[x], m[y]].
 
-    def assign(a, b, trail):
-        # propagate products with everything already assigned
-        if m[a] != -1:
-            return m[a] == b
-        if used[b] or (allowed is not None and not allowed[a][b]) or p1[a] != p2[b]:
-            return False
-        m[a] = b
-        used[b] = True
-        trail.append((a, b))
-        for x in np.flatnonzero(m != -1):
-            for u, v in ((a, int(x)), (int(x), a)):
-                if not assign(int(T1[u, v]), int(T2[m[u], m[v]]), trail):
+    Depth-first over the variables in `order` (default 0..n-1), trying each
+    variable's candidates in the order listed, so the maps come out in
+    lexicographic order.  Every assignment forces the products with all the
+    variables assigned so far; a forced value must lie in its domain and,
+    when injective, be unused.  Yields each map as an int64 array.
+    """
+    src, dst = np.asarray(src).tolist(), np.asarray(dst).tolist()
+    n = len(src)
+    domains = [[int(b) for b in d] for d in domains]
+    allowed = [set(d) for d in domains]
+    order = range(n) if order is None else order
+    m = [-1] * n
+    trail = []
+    used = set()
+
+    def assign(a, b):
+        work = [(a, b)]
+        while work:
+            a, b = work.pop()
+            if m[a] != -1:
+                if m[a] != b:
                     return False
+                continue
+            if b not in allowed[a] or b in used:
+                return False
+            m[a] = b
+            if injective:
+                used.add(b)
+            trail.append(a)
+            for x in trail:
+                work.append((src[a][x], dst[b][m[x]]))
+                work.append((src[x][a], dst[m[x]][b]))
         return True
 
-    def undo(trail, mark):
+    def undo(mark):
         while len(trail) > mark:
-            a, b = trail.pop()
+            a = trail.pop()
+            used.discard(m[a])
             m[a] = -1
-            used[b] = False
 
-    def dfs(i, trail):
+    def dfs(i):
         if i == n:
-            results.append(m.copy())
-            return not find_all
+            yield np.array(m, dtype=np.int64)
+            return
         a = order[i]
         if m[a] != -1:
-            return dfs(i + 1, trail)
-        for b in cand[a]:
+            yield from dfs(i + 1)
+            return
+        for b in domains[a]:
             mark = len(trail)
-            if assign(a, b, trail) and dfs(i + 1, trail):
-                return True
-            undo(trail, mark)
-        return False
+            if assign(a, b):
+                yield from dfs(i + 1)
+            undo(mark)
 
-    dfs(0, [])
-    if find_all:
-        return results
-    return results[0] if results else None
+    yield from dfs(0)
+
+
+def _iso_search(S, S2, allowed=None):
+    """Isomorphisms S -> S2 that respect the profiles and `allowed`, lazily."""
+    n = S.order
+    if S2.order != n:
+        return
+    p1, p2 = _profiles(S), _profiles(S2)
+    if sorted(p1) != sorted(p2):
+        return
+    cand = [[b for b in range(n) if p1[a] == p2[b]
+             and (allowed is None or allowed[a][b])] for a in range(n)]
+    order = sorted(range(n), key=lambda a: len(cand[a]))
+    yield from search_homomorphisms(S.table, S2.table, cand, order, injective=True)
 
 
 def isomorphism_search(S, S2, bound=ISO_BOUND):
@@ -152,14 +168,14 @@ def isomorphism_search(S, S2, bound=ISO_BOUND):
     n = max(S.order, S2.order)
     if n > bound:
         raise TooLarge("isomorphism search", n, bound)
-    m = _iso_search(S, S2)
+    m = next(_iso_search(S, S2), None)
     if m is None:
         return None
     return is_homomorphism(m, S, S2)
 
 
 def all_isomorphisms(S, S2):
-    return _iso_search(S, S2, find_all=True)
+    return list(_iso_search(S, S2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +257,7 @@ def solves(triple, solution, bound=64):
         required = beta[eta_t]          # K-element -> forced class in Q
         allowed = [[bool(kernel_class[p] == required[a]) for p in range(K.order)]
                    for a in range(K.order)]
-        chi = _iso_search(K, Ksub, allowed=allowed)
+        chi = next(_iso_search(K, Ksub, allowed=allowed), None)
         if chi is not None:
             return True, {"beta": beta, "chi": chi}
     return False, "no-compatible-isomorphism-pair"

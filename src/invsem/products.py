@@ -310,10 +310,9 @@ def build_hwr(K, T, cap=WREATH_CAP):
     elements = tuple((p, t) for p in range(len(pkt.elements)) for t in range(T.order)
                      if pkt.elements[p].domain_generator == int(T.rans[t]))
     assert len(elements) == total
-    index, sg, pi2 = _build_pair_product(pkt.sg, T, pkt.action, elements, restricted=True)
     rsd = build_rsd(pkt.sg, T, pkt.action, pkt.eps)
-    assert rsd.elements == elements and np.array_equal(rsd.sg.table, sg.table)
-    return HoughtonWreath(K, T, pkt, elements, index, sg, pi2, rsd)
+    assert rsd.elements == elements
+    return HoughtonWreath(K, T, pkt, rsd.elements, rsd.index, rsd.sg, rsd.pi2, rsd)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,24 @@ ENDO_COUNTS = {
 }
 
 
+def _homs(S, S2):
+    """Brute force: every map S -> S2 that passes is_homomorphism, in lexicographic order."""
+    out = []
+    for m in product(range(S2.order), repeat=S.order):
+        try:
+            morphisms.is_homomorphism(m, S, S2)
+        except morphisms.NotMultiplicative:
+            continue
+        out.append(list(m))
+    return out
+
+
 def test_endo_counts(catalog):
     for name, expect in ENDO_COUNTS.items():
         endos = ac.enumerate_endomorphisms(catalog[name])
         assert len(endos) == expect, name
         K = catalog[name]
-        for m in endos:
-            morphisms.is_homomorphism(m, K, K)  # raises if not
+        assert endos.tolist() == _homs(K, K), name
 
 
 def test_endo_bound(catalog):
@@ -77,7 +90,41 @@ EPS_COUNTS = {
 
 def test_eps_counts(catalog):
     for (kn, tn), expect in EPS_COUNTS.items():
-        assert len(ac.enumerate_surjective_eps(catalog[kn], catalog[tn])) == expect
+        K, T = catalog[kn], catalog[tn]
+        found = ac.enumerate_surjective_eps(K, T)
+        assert len(found) == expect
+        E, elems = core.idempotent_semilattice(T)
+        brute = [elems[m].tolist() for m in _homs(K, E) if len(set(m)) == E.order]
+        assert [eps.map.tolist() for eps in found] == brute, (kn, tn)
+
+
+# The #i and #i.j suffixes are positions in the action and eps enumeration
+# orders, so these lists pin both orders.
+LSD_LABELS = [
+    *(f"lsd(chain2,chain2)#{i}" for i in range(5)),
+    *(f"lsd(z2,chain2)#{i}" for i in range(3)),
+    *(f"lsd(chain2,z2)#{i}" for i in range(3)),
+    *(f"lsd(z3,z2)#{i}" for i in range(3)),
+    *(f"lsd(chain3,chain2)#{i}" for i in range(6)),
+    *(f"lsd(z2_zero,chain2)#{i}" for i in range(6)),
+    *(f"lsd(fork,chain2)#{i}" for i in range(6)),
+    *(f"lsd(chain2,fork)#{i}" for i in range(6)),
+    *(f"lsd(z2,z2)#{i}" for i in range(2)),
+    *(f"lsd(chain2,chain3)#{i}" for i in range(6)),
+]
+
+RSD_LABELS = [
+    "rsd(chain2,chain2)#1.0", "rsd(chain2,z2)#1.0", "rsd(z3,z2)#1.0",
+    "rsd(z3,z2)#2.0", "rsd(chain3,chain2)#3.1", "rsd(chain3,chain2)#8.0",
+    "rsd(z2_zero,chain2)#2.0", "rsd(fork,chain2)#5.1", "rsd(fork,chain2)#7.0",
+    "rsd(z2,z2)#1.0", "rsd(P(z2,chain2),chain2)",
+]
+
+
+def test_fixture_labels_pin_enumeration_order(lsd_fixtures, rsd_fixtures):
+    assert len(LSD_LABELS) == 46
+    assert [label for label, _ in lsd_fixtures] == LSD_LABELS
+    assert [label for label, _ in rsd_fixtures] == RSD_LABELS
 
 
 def test_validate_eps_rejections(catalog):

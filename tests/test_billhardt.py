@@ -8,6 +8,10 @@ from invsem.core import TooLarge
 from invsem.fixtures import sweep_names
 
 
+def _xis(transversals):
+    return [tr.xi.tolist() for tr in transversals]
+
+
 def test_transversal_existence_at_order_5(catalog):
     """Exactly one pair below order 6 has no valid choice: the square
     semilattice with both atoms collapsed into the zero class."""
@@ -34,6 +38,7 @@ def test_brandt_universal_is_almost_but_not_classical(catalog):
     plain = list(bh.enumerate_transversals(b2, univ))
     split = list(bh.enumerate_transversals(b2, univ, want_split=True))
     assert len(plain) == 2 and len(split) == 1
+    assert _xis(split) == _xis(tr for tr in plain if bh.xi_multiplicative(tr)[0])
     assert all(bh.classify_classical(tr) == "neither" for tr in plain + split)
     ok, reps = bh.classical_billhardt_on(b2, univ)
     assert not ok and reps is None
@@ -46,6 +51,8 @@ def test_fork_universal_needs_the_adjoined_identity(catalog):
     univ = cg.universal(fork)
     plain = list(bh.enumerate_transversals(fork, univ))
     assert len(plain) == 1 and bh.classify_classical(plain[0]) == "neither"
+    split = list(bh.enumerate_transversals(fork, univ, want_split=True))
+    assert _xis(split) == _xis(tr for tr in plain if bh.xi_multiplicative(tr)[0])
     xi_pair = plain[0].xi_pair(0)
     assert (xi_pair.left == np.arange(3)).all()     # it is the identity pair
     assert not bh.classical_billhardt_on(fork, univ)[0]

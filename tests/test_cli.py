@@ -49,6 +49,22 @@ def test_missing_file(tmp_path, capsys):
     assert code == 2 and report is None
 
 
+def test_malformed_input_is_usage_error(tmp_path, capsys):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"order": 2, "table": [[0, 1], [1')
+    code, report = cli.run(["validate", str(truncated)])
+    assert code == 2 and report is None
+
+    chain2 = {"order": 2, "table": [[0, 0], [0, 1]]}
+    k = write(tmp_path, "k.json", chain2)
+    no_act = write(tmp_path, "act.json", {"action": [[0, 0], [0, 1]]})
+    eps = write(tmp_path, "eps.json", {"map": [0, 1]})
+    code, report = cli.run(["product", "rsd", "--k", k, "--t", k,
+                            "--action", no_act, "--eps", eps])
+    assert code == 2 and report is None
+    assert "'act'" in capsys.readouterr().err
+
+
 def test_bad_arguments(tmp_path, capsys):
     assert cli.run([])[0] == 2
     assert cli.run(["verify", "bogus-token"])[0] == 2
@@ -214,8 +230,16 @@ def test_verify_tokens(capsys):
 
     code, report = cli.run(["verify", "prop-3.1", "--max-order", "2", "--jobs", "2"])
     assert code == 0
-    code, report = cli.run(["verify", "prop-3.5", "--max-order", "3", "--seed", "7"])
-    assert code == 0 and report.extra["seed"] == 7
+    code, report = cli.run(["verify", "prop-3.5", "--max-order", "3"])
+    assert code == 0
+
+
+def test_verify_empty_sweep_fails(capsys):
+    for name, max_order in (("remark-4.3", "3"), ("lemma-3.6", "1")):
+        code, report = cli.run(["verify", name, "--max-order", max_order])
+        assert code == 1, name
+        assert [c.name for c in report.checks] == [f"{name}:sweep-nonvacuous"]
+        assert not report.checks[0].passed
 
 
 def test_verify_sweep_dir(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,20 @@ def test_automorphism_counts(catalog):
     for name, k in expect.items():
         S = catalog[name]
         assert len(mo.all_isomorphisms(S, S)) == k, name
+
+
+def test_all_isomorphisms_match_permutation_filter(catalog):
+    for a, S in catalog.items():
+        for b, S2 in catalog.items():
+            if S.order != S2.order:
+                continue
+            brute = set()
+            for p in permutations(range(S.order)):
+                f = np.array(p)
+                if (f[S.table] == S2.table[f[:, None], f[None, :]]).all():
+                    brute.add(p)
+            found = {tuple(m.tolist()) for m in mo.all_isomorphisms(S, S2)}
+            assert found == brute, (a, b)
 
 
 def test_iso_bound(catalog):
