@@ -258,17 +258,6 @@ def enumerate_endomorphisms(K, bound=ENDO_BOUND):
     return np.array(list(morphisms.search_homomorphisms(K.table, K.table, [range(n)] * n)))
 
 
-def _product_generators(T):
-    """Greedy generating set under products alone (no inverses)."""
-    gens = []
-    known = frozenset()
-    for t in range(T.order):
-        if t not in known:
-            gens.append(t)
-            known = core.product_closure(T.table, gens)
-    return gens
-
-
 def enumerate_actions(T, K):
     """All actions of T on K by endomorphisms, deterministically ordered.
 
@@ -279,7 +268,7 @@ def enumerate_actions(T, K):
     # lexicographic order makes the base-|K| codes of the endomorphisms sorted
     weights = K.order ** np.arange(K.order - 1, -1, -1)
     comp = np.searchsorted(endos @ weights, endos[:, endos] @ weights)  # (i after j)
-    gens = _product_generators(T)
+    gens = core.product_generators(T.table)
     order = gens + [t for t in range(T.order) if t not in gens]
     found = morphisms.search_homomorphisms(T.table, comp, [range(len(endos))] * T.order, order)
     return [validate_action(T, K, endos[m]) for m in found]

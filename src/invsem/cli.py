@@ -100,8 +100,30 @@ def _field(data, key, path):
     return data[key]
 
 
+def _instance(data, where):
+    """core.from_dict(data), or a usage error naming the source and the witness."""
+    try:
+        return core.from_dict(data)
+    except (ValueError, core.NotAssociative, core.NotRegular,
+            core.IdempotentsDontCommute) as exc:
+        raise UsageError(f"{where} is not an inverse semigroup: {exc}") from None
+
+
 def _load_instance(path):
-    return core.from_dict(_load_json(path))
+    return _instance(_load_json(path), path)
+
+
+def _congruence(data, where, S):
+    """The congruence on S whose labels are data['class_of'], or a usage error."""
+    labels = _field(data, "class_of", where)
+    if (not isinstance(labels, list) or len(labels) != S.order
+            or not all(isinstance(x, int) for x in labels)):
+        raise UsageError(f"{where}: 'class_of' must list {S.order} integer labels, "
+                         f"one per element")
+    try:
+        return congruences.is_congruence(S, labels)
+    except congruences.NotCompatible as exc:
+        raise UsageError(f"{where}: 'class_of' is not a congruence: {exc}") from None
 
 
 def _emit(report, args, stream=None):
@@ -119,7 +141,7 @@ def cmd_validate(args):
     report = Report(command=["validate", args.instance])
     report.digests[args.instance] = _digest(args.instance)
     try:
-        S = _load_instance(args.instance)
+        S = core.from_dict(_load_json(args.instance))
     except core.NotAssociative as exc:
         report.checks.append(Check("associative", False, exc.witness))
         return report
@@ -242,8 +264,7 @@ def cmd_trhull(args):
         for i in outer]
     if args.congruence:
         report.digests[args.congruence] = _digest(args.congruence)
-        labels = _field(_load_json(args.congruence), "class_of", args.congruence)
-        theta = congruences.is_congruence(S, labels)
+        theta = _congruence(_load_json(args.congruence), args.congruence, S)
         respecting = sum(trhull.respects(w, theta) for w in hull.elements)
         report.extra["respecting_order"] = respecting
         report.checks.append(Check("all-pairs-respect", respecting == hull.sg.order))
@@ -281,14 +302,13 @@ def cmd_check_solution(args):
     report.digests[args.triple] = _digest(args.triple)
     report.digests[args.solution] = _digest(args.solution)
     tdata = _load_json(args.triple)
-    K = core.from_dict(_field(tdata, "k", args.triple))
-    T = core.from_dict(_field(tdata, "t", args.triple))
+    K = _instance(_field(tdata, "k", args.triple), f"{args.triple} 'k'")
+    T = _instance(_field(tdata, "t", args.triple), f"{args.triple} 't'")
     eta = np.asarray(_field(tdata, "eta", args.triple), dtype=np.int64)
     triple = morphisms.make_triple(K, T, eta)
     sdata = _load_json(args.solution)
-    S = core.from_dict(_field(sdata, "s", args.solution))
-    labels = _field(_field(sdata, "theta", args.solution), "class_of", args.solution)
-    theta = congruences.is_congruence(S, labels)
+    S = _instance(_field(sdata, "s", args.solution), f"{args.solution} 's'")
+    theta = _congruence(_field(sdata, "theta", args.solution), args.solution, S)
     sol = morphisms.ExtensionSolution(S, theta)
     ok, witness = morphisms.solves(triple, sol)
     report.checks.append(Check("solves", ok, witness))
@@ -309,8 +329,7 @@ def cmd_billhardt(args):
     report.digests[args.instance] = _digest(args.instance)
     report.digests[args.congruence] = _digest(args.congruence)
     S = _load_instance(args.instance)
-    labels = _field(_load_json(args.congruence), "class_of", args.congruence)
-    theta = congruences.is_congruence(S, labels)
+    theta = _congruence(_load_json(args.congruence), args.congruence, S)
     he = trhull.hull_of_extension(S, theta)
     tr = billhardt.find_transversal(S, theta, want_split=args.split, he=he)
     if tr is None:
@@ -640,7 +659,7 @@ def _sweep_extra(directory, report):
         path = str(path)
         report.digests[path] = _digest(path)
         try:
-            S = _load_instance(path)
+            S = core.from_dict(_load_json(path))
         except Exception as exc:
             report.checks.append(Check(f"sweep:valid:{path}", False, str(exc)))
             continue

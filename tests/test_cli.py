@@ -65,6 +65,42 @@ def test_malformed_input_is_usage_error(tmp_path, capsys):
     assert "'act'" in capsys.readouterr().err
 
 
+def test_invalid_instance_is_usage_error(tmp_path, capsys):
+    chain2 = {"order": 2, "table": [[0, 0], [0, 1]]}
+    nonassoc = {"order": 2, "table": [[0, 1], [0, 0]]}
+    good = write(tmp_path, "chain2.json", chain2)
+    bad = write(tmp_path, "bad.json", nonassoc)
+    triple = write(tmp_path, "triple.json", {"k": nonassoc, "t": chain2, "eta": [0, 1]})
+    sol = write(tmp_path, "sol.json", {"s": chain2, "theta": {"class_of": [0, 1]}})
+    for argv in (["congruences", bad],
+                 ["product", "hwr", "--k", bad, "--t", good],
+                 ["check-solution", triple, sol]):
+        code, report = cli.run(argv)
+        assert code == 2 and report is None
+        assert "(1*0)*1 != 1*(0*1)" in capsys.readouterr().err
+    # validate still reports the same instance as a failed check
+    code, report = cli.run(["validate", bad])
+    assert code == 1 and report.checks == [cli.Check("associative", False, (1, 0, 1))]
+
+
+def test_bad_class_of_is_usage_error(tmp_path, capsys):
+    chain3 = write(tmp_path, "chain3.json", {"order": 3, "table": MIN3})
+    triple = write(tmp_path, "triple.json", {"k": {"order": 3, "table": MIN3},
+                                             "t": {"order": 3, "table": MIN3},
+                                             "eta": [0, 1, 2]})
+    # too short, too long, not integers, not a congruence
+    for labels in ([0], [0, 1, 2, 3], ["a", "b", "c"], [0, 1, 0]):
+        cong = write(tmp_path, "cong.json", {"class_of": labels})
+        sol = write(tmp_path, "sol.json", {"s": {"order": 3, "table": MIN3},
+                                           "theta": {"class_of": labels}})
+        for argv in (["trhull", chain3, "--congruence", cong],
+                     ["billhardt", "find", chain3, cong],
+                     ["check-solution", triple, sol]):
+            code, report = cli.run(argv)
+            assert code == 2 and report is None
+            assert "'class_of'" in capsys.readouterr().err
+
+
 def test_bad_arguments(tmp_path, capsys):
     assert cli.run([])[0] == 2
     assert cli.run(["verify", "bogus-token"])[0] == 2

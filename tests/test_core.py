@@ -1,17 +1,94 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from invsem import core, partial_bijections as pb
+from invsem import core, partial_bijections as pb, products
 from invsem.core import (IdempotentsDontCommute, NotAssociative, NotRegular,
                          direct_product, dom, generated_subsemigroup,
                          natural_leq, principal_left_ideal, ran, validate)
 
 
+def cube_witness(table):
+    """Least (a,b,c) with (ab)c != a(bc) over the whole n^3 cube, or None:
+    the oracle for the associativity check."""
+    T = np.asarray(table)
+    bad = np.argwhere(T[T] != T[:, T])
+    return tuple(int(x) for x in bad[0]) if len(bad) else None
+
+
+def assert_validate_agrees_with_cube(table):
+    expected = cube_witness(table)
+    try:
+        validate(table)
+    except NotAssociative as exc:
+        assert exc.witness == expected
+    except (NotRegular, IdempotentsDontCommute):
+        assert expected is None
+    else:
+        assert expected is None
+
+
+def corrupted(table):
+    """A copy with its last cell changed, so that it usually fails associativity."""
+    T = np.array(table)
+    n = len(T)
+    T[-1, -1] = (T[-1, -1] + 1) % n
+    return T
+
+
 def test_validate_rejects_nonassociative():
     with pytest.raises(NotAssociative) as exc:
         validate([[0, 1], [0, 0]])
-    a, b, c = exc.value.witness
-    assert a in (0, 1)
+    assert exc.value.witness == (1, 0, 1) == cube_witness([[0, 1], [0, 0]])
+
+
+tables_upto_5 = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@given(tables_upto_5)
+@settings(max_examples=400, deadline=None)
+def test_associativity_matches_cube_on_random_tables(table):
+    assert_validate_agrees_with_cube(table)
+
+
+def test_associativity_matches_cube_on_instances(catalog, lsd_fixtures, rsd_fixtures):
+    tables = [S.table for S in catalog.values()]
+    tables += [P.sg.table for _, P in lsd_fixtures + rsd_fixtures]
+    for T in tables:
+        assert cube_witness(T) is None
+        assert_validate_agrees_with_cube(T)
+        assert_validate_agrees_with_cube(corrupted(T))
+
+
+def test_witness_middle_need_not_be_a_generator():
+    # 0 generates everything (0*0 = 1, 0*1 = 2), and the least failing triple
+    # (0,1,1) has the non-generator 1 in the middle: Light's test fails on
+    # another triple, and the witness comes from the row scan.
+    T = np.array([[1, 2, 0], [2, 0, 1], [0, 0, 0]])
+    assert core.product_generators(T) == [0]
+    assert core.product_closure(T, [0]).all()
+    assert cube_witness(T) == (0, 1, 1)
+    assert_validate_agrees_with_cube(T)
+
+
+def test_validate_memory_stays_small(catalog):
+    T = products.build_hwr(catalog["chain2"], catalog["i2"]).sg.table
+    assert len(T) == 290
+    bad = corrupted(T)
+    tracemalloc.start()
+    try:
+        validate(T)
+        with pytest.raises(NotAssociative):
+            validate(bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a check in blocks of 2^24 cells would hold two int64 blocks, about 268 MB
+    assert peak < 16 * 2**20
 
 
 def test_validate_rejects_missing_inverse():
