@@ -1,8 +1,10 @@
 """Congruence enumeration, kernels, traces, quotients.
 
 Two independent engines: an exhaustive partition scan for small orders
-and a principal-congruence/join engine for slightly larger ones.  Tests
-compare them where both apply.
+and a principal-join engine for larger ones.  The join engine computes
+the distinct principal congruences theta(a, b), then closes them under
+joins, joining each newly found congruence only with the principal ones.
+Tests compare the engines where both apply.
 """
 
 from dataclasses import dataclass
@@ -122,14 +124,18 @@ def is_congruence(S, partition):
     theta = Congruence(S, c, int(c.max()) + 1)
     # inversion compatibility comes for free on inverse semigroups
     rep_of = theta.reps()[c]
-    assert (c[S.inv] == c[S.inv[rep_of]]).all()
+    bad = np.flatnonzero(c[S.inv] != c[S.inv[rep_of]])
+    if len(bad):
+        raise ValueError(f"the inverse of {int(bad[0])} is not in the class of "
+                         f"the inverse of its class representative {int(rep_of[bad[0]])}")
     return theta
 
 
 def congruence_from_map(S, values):
     """Kernel of any map out of S that is multiplicative on classes."""
     c = _canon(values)
-    assert _compatible(S, c), "map does not induce a congruence"
+    if not _compatible(S, c):
+        raise NotCompatible(*_compat_witness(S, c))
     return Congruence(S, c, int(c.max()) + 1)
 
 
@@ -203,37 +209,73 @@ def principal_congruence(S, a, b):
     return _canon(uf.labels())
 
 
-def _join(c1, c2):
-    uf = _UF(len(c1))
-    for c in (c1, c2):
-        first = {}
-        for i, x in enumerate(c):
-            if int(x) in first:
-                uf.union(first[int(x)], i)
-            else:
-                first[int(x)] = i
-    return _canon(uf.labels())
+def _merge_along(c, pairs):
+    """Join of the canonical class tuple c with the congruence spanned by pairs.
+
+    Only c's own k class labels are merged, by a quick-find union over them
+    that keeps the least label of each group; then one pass relabels the
+    elements.  c's labels are in order of first appearance, so ranking the
+    surviving labels keeps the result canonical.
+    """
+    lab = list(range(max(c) + 1))
+    merged = False
+    for a, b in pairs:
+        x, y = lab[c[a]], lab[c[b]]
+        if x != y:
+            if x > y:
+                x, y = y, x
+            lab = [x if v == y else v for v in lab]
+            merged = True
+    if not merged:
+        return c
+    rank = {v: i for i, v in enumerate(sorted(set(lab)))}
+    new = [rank[v] for v in lab]
+    return tuple(new[x] for x in c)
+
+
+def _spanning_pairs(c):
+    """(first member, other member) for every non-singleton class of c."""
+    first = {}
+    pairs = []
+    for i, x in enumerate(c):
+        if x in first:
+            pairs.append((first[x], i))
+        else:
+            first[x] = i
+    return pairs
 
 
 def _enumerate_by_joins(S):
+    """Every congruence, as a join of principal congruences.
+
+    Each congruence is the join of the principal congruences theta(a, b) of
+    its related pairs, so the lattice is the closure of the diagonal and the
+    distinct principal congruences under joining with a principal one
+    (Freese, "Computing congruences efficiently", Algebra Universalis 59,
+    2008).  It grows as a frontier: each new congruence is joined with each
+    principal congruence, never with the whole lattice found so far.
+    """
     n = S.order
-    found = {tuple(np.arange(n))}
-    for a in range(n):
-        for b in range(a + 1, n):
-            found.add(tuple(principal_congruence(S, a, b)))
-    frontier = list(found)
+    principals = list(dict.fromkeys(
+        tuple(principal_congruence(S, a, b).tolist())
+        for a in range(n) for b in range(a + 1, n)))
+    spans = [_spanning_pairs(p) for p in principals]
+    found = set(principals)
+    found.add(tuple(range(n)))
+    frontier = principals
     while frontier:
         fresh = []
         for x in frontier:
-            for y in list(found):
-                j = tuple(_join(np.array(x), np.array(y)))
+            for pairs in spans:
+                j = _merge_along(x, pairs)
                 if j not in found:
                     found.add(j)
                     fresh.append(j)
         frontier = fresh
     out = [np.array(c, dtype=np.int64) for c in found]
     for c in out:
-        assert _compatible(S, c)
+        if not _compatible(S, c):
+            raise NotCompatible(*_compat_witness(S, c))
     return out
 
 
@@ -258,7 +300,9 @@ def enumerate_congruences(S, method="auto"):
         uniq[c.tobytes()] = c
     ordered = sorted(uniq.values(), key=lambda c: (-(int(c.max()) + 1), tuple(c)))
     out = [Congruence(S, c, int(c.max()) + 1) for c in ordered]
-    assert out[0] == diagonal(S) and out[-1] == universal(S)
+    if out[0] != diagonal(S) or out[-1] != universal(S):
+        raise ValueError(f"{method} enumeration misses the diagonal or the universal congruence: "
+                         f"it runs from {out[0].class_count} classes to {out[-1].class_count}")
     return out
 
 
@@ -315,10 +359,16 @@ def decomposition_along(eta, embed=None):
         raise NotSurjective(f"semilattice element {missing} has empty fiber")
     K = eta.source
     # fibers multiply into the fiber of the product; this is the morphism law
-    assert (emap[K.table] == E.table[emap[:, None], emap[None, :]]).all()
-    assert (emap[K.inv] == emap).all()
+    bad = np.argwhere(emap[K.table] != E.table[emap[:, None], emap[None, :]])
+    if len(bad):
+        from .morphisms import NotMultiplicative  # morphisms imports this module
+        raise NotMultiplicative(int(bad[0][0]), int(bad[0][1]))
+    bad = np.flatnonzero(emap[K.inv] != emap)
+    if len(bad):
+        raise ValueError(f"element {int(bad[0])} and its inverse lie in different fibers")
     classes = tuple(np.flatnonzero(emap == e) for e in range(E.order))
     if embed is not None:
         embed = np.asarray(embed, dtype=np.int64)
-        assert len(embed) == E.order
+        if len(embed) != E.order:
+            raise ValueError(f"embed has {len(embed)} entries for a semilattice of order {E.order}")
     return SemilatticeDecomposition(eta, classes, embed)

@@ -305,7 +305,23 @@ def as_dict(S):
 def from_dict(d):
     if not isinstance(d, dict) or "order" not in d or "table" not in d:
         raise ValueError("instance JSON needs 'order' and 'table'")
-    S = validate(d["table"], names=d.get("names"))
+    table, names = d["table"], d.get("names")
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise ValueError("'table' must be a list of rows")
+    kinds = set()
+    for row in table:
+        kinds.update(map(type, row))
+    if kinds - {int}:   # bool is a subclass of int, but not a JSON integer
+        i, j = next((i, j) for i, row in enumerate(table) for j, x in enumerate(row)
+                     if type(x) is not int)
+        raise ValueError(f"table cell ({i},{j}) is {table[i][j]!r}, not an integer")
+    if names is not None and (not isinstance(names, list) or len(names) != len(table)
+                              or not all(isinstance(x, str) for x in names)):
+        raise ValueError(f"'names' must be a list of {len(table)} strings, one per element")
+    try:
+        S = validate(table, names=names)
+    except OverflowError:
+        raise ValueError("table entries must lie in [0, n)") from None
     if S.order != d["order"]:
         raise ValueError(f"declared order {d['order']} does not match table size {S.order}")
     return S

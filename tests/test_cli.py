@@ -83,6 +83,36 @@ def test_invalid_instance_is_usage_error(tmp_path, capsys):
     assert code == 1 and report.checks == [cli.Check("associative", False, (1, 0, 1))]
 
 
+def test_bad_cell_or_names_is_rejected(tmp_path, capsys):
+    chain2 = write(tmp_path, "chain2.json", {"order": 2, "table": [[0, 0], [0, 1]]})
+    act = write(tmp_path, "act.json", {"act": [[0, 1], [0, 1]]})
+    eps = write(tmp_path, "eps.json", {"map": [0, 1]})
+    cong = write(tmp_path, "cong.json", {"class_of": [0, 0]})
+    cases = [
+        ({"order": 1, "table": [[None]]}, "table cell (0,0) is None, not an integer"),
+        ({"order": 2, "table": [[0, 1], [1, 0]], "names": 5}, "'names' must be a list of 2 strings"),
+        ({"order": 2, "table": [[0, 1], [1, 0]], "names": ["g"]}, "'names' must be a list of 2 strings"),
+    ]
+    for obj, problem in cases:
+        bad = write(tmp_path, "bad.json", obj)
+        code, report = cli.run(["validate", bad])
+        assert code == 1
+        assert [(c.name, c.passed) for c in report.checks] == [("well-formed", False)]
+        assert problem in report.checks[0].witness
+        capsys.readouterr()
+        triple = write(tmp_path, "triple.json", {"k": obj, "t": obj, "eta": [0]})
+        sol = write(tmp_path, "sol.json", {"s": obj, "theta": {"class_of": [0]}})
+        for argv in (["congruences", bad],
+                     ["trhull", bad],
+                     ["product", "hwr", "--k", bad, "--t", chain2],
+                     ["check-afr", act, eps, "--k", chain2, "--t", bad],
+                     ["billhardt", "find", bad, cong],
+                     ["check-solution", triple, sol]):
+            code, report = cli.run(argv)
+            assert code == 2 and report is None, argv
+            assert problem in capsys.readouterr().err, argv
+
+
 def test_bad_class_of_is_usage_error(tmp_path, capsys):
     chain3 = write(tmp_path, "chain3.json", {"order": 3, "table": MIN3})
     triple = write(tmp_path, "triple.json", {"k": {"order": 3, "table": MIN3},

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from invsem import congruences as cg
-from invsem import core, morphisms
+from invsem import core, fixtures, morphisms
 from invsem.core import TooLarge
 
 
@@ -28,6 +34,77 @@ def test_engines_agree(catalog):
         by_part = cg.enumerate_congruences(S, method="partitions")
         by_join = cg.enumerate_congruences(S, method="generated")
         assert [tuple(c.class_of) for c in by_part] == [tuple(c.class_of) for c in by_join]
+
+
+def _naive_join(c1, c2):
+    uf = cg._UF(len(c1))
+    for c in (c1, c2):
+        first = {}
+        for i, x in enumerate(c):
+            if int(x) in first:
+                uf.union(first[int(x)], i)
+            else:
+                first[int(x)] = i
+    return cg._canon(uf.labels())
+
+
+def _naive_lattice(S):
+    """Oracle: close the principal congruences under joins with every congruence found."""
+    n = S.order
+    found = {tuple(np.arange(n))}
+    for a in range(n):
+        for b in range(a + 1, n):
+            found.add(tuple(cg.principal_congruence(S, a, b)))
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for y in list(found):
+                j = tuple(_naive_join(np.array(x), np.array(y)))
+                if j not in found:
+                    found.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    return found
+
+
+def _join_lattices(catalog):
+    return {
+        "chain9": (core.validate(fixtures._min_table(9)), 256),
+        "chain3xchain3": (core.direct_product(catalog["chain3"], catalog["chain3"]), 115),
+        "forkxchain3": (core.direct_product(catalog["fork"], catalog["chain3"]), 141),
+        "clifford4xchain3": (core.direct_product(catalog["clifford4"], catalog["chain3"]), 110),
+    }
+
+
+def test_principal_joins_match_all_pairs_oracle(catalog):
+    for name, (S, count) in _join_lattices(catalog).items():
+        got = [tuple(c.class_of) for c in cg.enumerate_congruences(S, method="generated")]
+        assert len(got) == len(set(got)) == count, name
+        assert set(got) == _naive_lattice(S), name
+
+
+def test_principal_joins_match_partition_scan_past_its_bound(catalog):
+    S, count = _join_lattices(catalog)["chain3xchain3"]
+    assert S.order > cg.PARTITION_BOUND
+    # Bell(9) = 21,147 partitions, ordered as enumerate_congruences orders them
+    scan = sorted((tuple(c) for c in cg._enumerate_by_partitions(S)),
+                  key=lambda c: (-(max(c) + 1), c))
+    got = [tuple(c.class_of) for c in cg.enumerate_congruences(S, method="generated")]
+    assert got == scan and len(got) == count
+
+
+def test_principal_joins_match_partition_scan_on_rsd_fixtures():
+    checked = 0
+    for label, P in fixtures.rsd_fixtures():
+        S = P.sg
+        if S.order > cg.PARTITION_BOUND:
+            continue
+        by_part = cg.enumerate_congruences(S, method="partitions")
+        by_join = cg.enumerate_congruences(S, method="generated")
+        assert [tuple(c.class_of) for c in by_part] == [tuple(c.class_of) for c in by_join], label
+        checked += 1
+    assert checked > 0
 
 
 def test_engine_bounds(catalog):
@@ -104,6 +181,26 @@ def test_congruence_from_map_canonicalizes(catalog):
     assert tuple(c.class_of) == (0, 0, 1) and c.class_count == 2
 
 
+_FROM_MAP_WITNESS = """
+from invsem import congruences as cg, fixtures
+try:
+    cg.congruence_from_map(fixtures.catalog()["chain3"], [0, 1, 0])
+except cg.NotCompatible as exc:
+    print(exc.witness, exc)
+"""
+
+
+def test_verdicts_survive_python_O(catalog):
+    with pytest.raises(cg.NotCompatible) as e:
+        cg.congruence_from_map(catalog["chain3"], [0, 1, 0])
+    # 0 ~ 2, but 0*1 = 0 and 2*1 = 1 lie in different classes
+    assert e.value.witness == (0, 2, 1)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", _FROM_MAP_WITNESS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == f"{e.value.witness} {e.value}\n"
+
+
 def test_principal_congruence(catalog):
     chain3 = catalog["chain3"]
     assert tuple(cg.principal_congruence(chain3, 0, 1)) == (0, 0, 1)
@@ -139,3 +236,13 @@ def test_decomposition_along(catalog):
     partial = morphisms.is_homomorphism([0, 1], chain2, catalog["chain3"])
     with pytest.raises(cg.NotSurjective):
         cg.decomposition_along(partial)
+    with pytest.raises(ValueError):
+        cg.decomposition_along(eta, embed=[0, 1, 2])
+
+
+def test_decomposition_along_rejects_non_morphism(catalog):
+    # the identity of z2 onto the chain 0 < 1 is onto but breaks 0*g = g
+    fake = SimpleNamespace(source=catalog["z2"], target=catalog["chain2"], map=[0, 1])
+    with pytest.raises(morphisms.NotMultiplicative) as e:
+        cg.decomposition_along(fake)
+    assert e.value.witness == (0, 1)
