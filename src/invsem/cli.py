@@ -70,7 +70,7 @@ def _jsonable(x):
     if isinstance(x, (np.floating,)):
         return float(x)
     if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
+        return x.tolist()
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, (set, frozenset)):
@@ -78,6 +78,25 @@ def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     return x
+
+
+def _dumps(x, pad="\n"):
+    """json.dumps(x, indent=2, sort_keys=True), byte for byte, for x with
+    string keys, nested at the indent `pad`.  A flat list of ints is one
+    str.join, where the stdlib's indenting encoder, in pure Python, makes
+    calls per item."""
+    inner = pad + "  "
+    if isinstance(x, (list, tuple)) and x:
+        if set(map(type, x)) == {int}:
+            body = ("," + inner).join(map(str, x))
+        else:
+            body = ("," + inner).join(_dumps(v, inner) for v in x)
+        return f"[{inner}{body}{pad}]"
+    if isinstance(x, dict) and x:
+        body = ("," + inner).join(f"{json.dumps(k)}: {_dumps(v, inner)}"
+                                  for k, v in sorted(x.items()))
+        return f"{{{inner}{body}{pad}}}"
+    return json.dumps(x)    # scalars and empty containers
 
 
 def _digest(path):
@@ -130,7 +149,7 @@ def _emit(report, args, stream=None):
     if stream is None:
         stream = sys.stdout
     if getattr(args, "json", False):
-        stream.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        stream.write(_dumps(report.to_dict()) + "\n")
     else:
         stream.write(report.render_text() + "\n")
 
@@ -236,7 +255,7 @@ def cmd_product(args):
         "k_order": K.order,
         "t_order": T.order,
     }
-    text = json.dumps(_jsonable(out), indent=2, sort_keys=True)
+    text = _dumps(out)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

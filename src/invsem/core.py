@@ -8,8 +8,13 @@ vectorized numpy.
 `validate` proves associativity by Light's test (Clifford & Preston,
 *The Algebraic Theory of Semigroups* I, section 1.2): if (xa)y = x(ay) for all
 x, y and every a in a generating set, the operation is associative, in any
-magma.  The generating set is the greedy one (`product_generators`), so the
-check reads 2n^2 cells per generator instead of the n^3 of the whole cube.
+magma.  The check reads 2n^2 cells per generator instead of the n^3 of the
+whole cube, so the generating set is taken greedily (`product_generators`)
+from the top of the J-order down: elements with the largest row image |aS|
+first.  In an inverse semigroup aS = aa^-1 S, and |eS| is constant on a
+D-class and strictly smaller below it, so the few maximal D-classes come
+first and generate most of the table; a wreath product of order 290 needs 7
+generators this way, against 282 in index order.
 """
 
 from dataclasses import dataclass
@@ -135,13 +140,23 @@ class ElementSet:
         return hash((id(self.parent), self.members))
 
 
+def _light_generators(T):
+    """Greedy generating set for Light's test, visiting the elements by
+    descending row image |aS|, ties in index order: from the top of the
+    J-order down, when T is an inverse semigroup."""
+    n = len(T)
+    seen = np.zeros((n, n), dtype=bool)
+    seen[np.arange(n)[:, None], T] = True      # seen[a, x] iff x in aS
+    return product_generators(T, np.argsort(-seen.sum(axis=1), kind="stable"))
+
+
 def _assoc_witness(T):
     """Least (a,b,c) with (ab)c != a(bc), or None.
 
-    Light's test on the greedy generating set decides; only when it fails
-    are the rows scanned, in order, for the least witness.
+    Light's test on `_light_generators` decides; only when it fails are the
+    rows scanned, in order, for the least witness.
     """
-    if all((T[T[:, a]] == T[:, T[a]]).all() for a in product_generators(T)):
+    if all((T[T[:, a]] == T[:, T[a]]).all() for a in _light_generators(T)):
         return None
     for a in range(len(T)):
         left = T[T[a]]         # left[b,c] = (ab)c
@@ -186,7 +201,9 @@ def validate(table, names=None):
         cand = np.flatnonzero((axa == a) & (xax == ar))
         if len(cand) == 0:
             raise NotRegular(a)
-        assert len(cand) == 1, f"non-unique inverse for {a} despite commuting idempotents"
+        if len(cand) > 1:
+            raise ValueError(f"element {a} has inverses {int(cand[0])} and {int(cand[1])}, "
+                             f"though idempotents commute")
         inv[a] = cand[0]
     return InverseSemigroup(base, inv, tuple(int(e) for e in idem))
 
@@ -231,14 +248,15 @@ def product_closure(table, seeds, inside=None):
     return inside
 
 
-def product_generators(table):
-    """Greedy generating set under products alone: in index order, each
-    element not yet in the closure of the earlier ones."""
+def product_generators(table, order=None):
+    """Greedy generating set under products alone: visiting the elements in
+    `order` (index order by default), each one not yet in the closure of the
+    earlier ones."""
     inside = np.zeros(len(table), dtype=bool)
     gens = []
-    for a in range(len(table)):
+    for a in range(len(table)) if order is None else order:
         if not inside[a]:
-            gens.append(a)
+            gens.append(int(a))
             product_closure(table, [a], inside)
     return gens
 
@@ -279,7 +297,10 @@ def is_semilattice(S):
 def idempotent_semilattice(S):
     """E(S) as its own semilattice, with the element list into S."""
     E, elems = subsemigroup(S, S.idempotents)
-    assert is_semilattice(E)
+    if not is_semilattice(E):
+        # E passed validate, so its idempotents commute: some listed element is not one
+        a = int(elems[np.flatnonzero(E.table.diagonal() != np.arange(E.order))[0]])
+        raise ValueError(f"element {a} is listed as an idempotent, but {a}*{a} = {S.mul(a, a)}")
     return E, elems
 
 

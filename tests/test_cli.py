@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invsem import cli, core
 
@@ -200,6 +201,40 @@ def test_product_kinds(tmp_path, capsys, catalog):
 
     code, report = cli.run(["product", "lwr", "--k", z2, "--t", chain2, "--out", out])
     assert code == 0 and report.extra["order"] == 6
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers() | st.integers(min_value=-2**80, max_value=2**80),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(st.integers(), min_size=1)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=30)
+
+
+@given(json_values)
+@settings(max_examples=200, deadline=None)
+def test_dumps_matches_the_stdlib(x):
+    assert cli._dumps(x) == json.dumps(x, indent=2, sort_keys=True)
+
+
+def test_dumps_examples():
+    for x in ([], {}, (), [[]], [{}], {"": ()}, [1, True], [2**70, -1], {"é": "ü\n"},
+              [1.5, float("nan"), float("-inf")], {"b": [{"a": [0]}], "a": None}):
+        assert cli._dumps(x) == json.dumps(x, indent=2, sort_keys=True), x
+
+
+def test_product_file_is_the_stdlib_indented_dump(tmp_path, capsys, catalog):
+    k = inst(tmp_path, "chain2.json", catalog["chain2"])
+    t = inst(tmp_path, "i2.json", catalog["i2"])
+    out = tmp_path / "hwr.json"
+    code, report = cli.run(["product", "hwr", "--k", k, "--t", t, "--out", str(out)])
+    assert code == 0 and report.extra["order"] == 290
+    text = out.read_text()
+    expected = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    # lists of lines, so that a failure names the first differing line
+    # instead of diffing two 80,000-line strings
+    assert text.splitlines(True) == expected.splitlines(True)
 
 
 def test_trhull_cmd(tmp_path, capsys, catalog):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,24 @@ def test_witness_middle_need_not_be_a_generator():
     assert core.product_closure(T, [0]).all()
     assert cube_witness(T) == (0, 1, 1)
     assert_validate_agrees_with_cube(T)
+
+
+@pytest.mark.parametrize("k, t, n, in_index_order, from_top", [
+    ("chain2", "i2", 290, 282, 7),
+    ("chain4", "chain4", 340, 340, 16),
+])
+def test_light_generators_come_from_the_top_of_the_J_order(catalog, k, t, n,
+                                                           in_index_order, from_top):
+    T = products.build_hwr(catalog[k], catalog[t]).sg.table
+    assert len(T) == n
+    gens = core._light_generators(T)
+    assert len(gens) == from_top
+    assert core.product_closure(T, gens).all()
+    # without an order, the greedy set is still taken in index order
+    plain = core.product_generators(T)
+    assert plain == core.product_generators(T, range(n)) == sorted(plain)
+    assert len(plain) == in_index_order
+    assert core.product_closure(T, plain).all()
 
 
 def test_validate_memory_stays_small(catalog):
@@ -232,3 +254,25 @@ def test_json_round_trip(catalog):
         assert S2.names == S.names
     with pytest.raises(ValueError):
         core.from_dict({"order": 3, "table": [[0, 0], [0, 1]]})
+
+
+_FAKE_IDEMPOTENT = """
+from invsem import core, fixtures
+z2 = fixtures.catalog()["z2"]
+try:
+    core.idempotent_semilattice(core.InverseSemigroup(z2.base, z2.inv, (0, 1)))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_verdicts_survive_python_O(catalog):
+    # an InverseSemigroup built by hand, listing the non-idempotent 1 of Z2
+    z2 = catalog["z2"]
+    fake = core.InverseSemigroup(z2.base, z2.inv, (0, 1))
+    with pytest.raises(ValueError, match="element 1 ") as e:
+        core.idempotent_semilattice(fake)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", _FAKE_IDEMPOTENT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == f"{e.value}\n"
