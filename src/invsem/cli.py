@@ -7,10 +7,12 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
 import argparse
 import hashlib
 import json
+import pathlib
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,6 +26,7 @@ class Check:
     name: str
     passed: bool
     witness: object = None
+    elapsed: float = field(default=None, compare=False)   # seconds, verify only
 
 
 @dataclass
@@ -43,6 +46,7 @@ class Report:
             "command": self.command,
             "digests": self.digests,
             "checks": [{"name": c.name, "passed": c.passed, "witness": c.witness}
+                       | ({} if c.elapsed is None else {"elapsed_s": round(c.elapsed, 3)})
                        for c in self.checks],
             "extra": self.extra,
             "elapsed_s": round(self.elapsed, 3),
@@ -108,7 +112,7 @@ def _load_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:    # bad JSON, or bytes that are not UTF-8
             raise UsageError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -379,61 +383,78 @@ def cmd_billhardt(args):
 
 
 # ------------------------------------------------------------------ verifiers
-
-def _run_tasks(tasks, jobs=1):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(name, pool.submit(fn)) for name, fn in tasks]
-            return [Check(name, *_normalize(f.result())) for name, f in futures]
-    return [Check(name, *_normalize(fn())) for name, fn in tasks]
-
-
-def _normalize(result):
-    if isinstance(result, tuple):
-        ok, witness = result
-        return bool(ok), witness
-    return bool(result), None
-
+#
+# A suite is one row of SUITES: the prefix of its check names, its default
+# max_order, a sweep max_order -> [(label, item)], and a predicate
+# item -> bool or (bool, witness).  verify() names each check prefix:label.
 
 def _catalog_upto(max_order):
     cat = fixtures.catalog()
     return [(n, cat[n]) for n in fixtures.sweep_names(max_order)]
 
 
-def verify_lemma_2_1(max_order=24, jobs=1):
-    tasks = []
-    for label, P in fixtures.lsd_fixtures():
-        if P.sg.order > max_order:
-            continue
-
-        def fn(P=P):
-            psi, rsd, _ = products.psi_lemma21(P)
-            sol_l = morphisms.ExtensionSolution(P.sg, products.pi2_congruence(P))
-            sol_r = morphisms.ExtensionSolution(rsd.sg, products.pi2_congruence(rsd))
-            return morphisms.solution_embedding(psi, sol_l, sol_r, iso=True)
-
-        tasks.append((f"pair-product-restricts:{label}", fn))
-    return _run_tasks(tasks, jobs)
+def _catalog_pairs(max_order):
+    return [(f"{kn}|{tn}", (K, T)) for kn, K in _catalog_upto(max_order)
+            for tn, T in _catalog_upto(max_order)]
 
 
-def verify_prop_2_2(max_order=24, jobs=1):
-    tasks = []
-    for label, P in fixtures.lsd_fixtures():
-        if P.sg.order > max_order:
-            continue
+def _afr_sweep(max_order):
+    return [(f"{kn}|{tn}", (action, eps))
+            for kn, tn, action, eps in fixtures.afr_sweep(max_order)]
 
-        def fn(P=P):
-            psi, rsd, _ = products.psi_lemma21(P)
-            back = np.empty(rsd.sg.order, dtype=np.int64)
-            back[psi.map] = np.arange(P.sg.order)
-            phi = morphisms.is_homomorphism(back, rsd.sg, P.sg)
-            sol_l = morphisms.ExtensionSolution(P.sg, products.pi2_congruence(P))
-            sol_r = morphisms.ExtensionSolution(rsd.sg, products.pi2_congruence(rsd))
-            return (morphisms.solution_embedding(psi, sol_l, sol_r, iso=True)
-                    and morphisms.solution_embedding(phi, sol_r, sol_l, iso=True))
 
-        tasks.append((f"embeddings-transfer-both-ways:{label}", fn))
-    return _run_tasks(tasks, jobs)
+def _lsd_sweep(max_order):
+    return [(label, P) for label, P in fixtures.lsd_fixtures()
+            if P.sg.order <= max_order]
+
+
+def _rsd_sweep(max_order):
+    return [(label, P) for label, P in fixtures.rsd_fixtures()
+            if P.sg.order <= max_order]
+
+
+def _extensions(max_order):
+    """Every congruence of the catalog up to max_order, then the rsd
+    fixtures of order <= 8 with the congruence of their projection."""
+    out = [(f"{name}#cong{i}", (S, th)) for name, S in _catalog_upto(max_order)
+           for i, th in enumerate(congruences.enumerate_congruences(S))]
+    for label, P in _rsd_sweep(8):
+        out.append((label, (P.sg, congruences.congruence_from_map(P.sg, P.pi2.map))))
+    return out
+
+
+_WREATH_PAIRS = (("z2", "chain2"), ("chain2", "chain2"), ("chain2", "chain3"),
+                 ("z3", "z2"), ("chain2", "z2"), ("fork", "chain2"))
+
+
+def _wreath_pairs(max_order):
+    """Remark 4.3's pairs whose total-map power K^|T| fits in max_order."""
+    cat = fixtures.catalog()
+    return [(f"{kn}|{tn}", (cat[kn], cat[tn])) for kn, tn in _WREATH_PAIRS
+            if cat[kn].order ** cat[tn].order <= max_order]
+
+
+def _lemma21(P):
+    """Lemma 2.1's psi onto the restricted product, and both products as
+    extension solutions along their second projections."""
+    psi, rsd, _ = products.psi_lemma21(P)
+    sol_l = morphisms.ExtensionSolution(P.sg, products.pi2_congruence(P))
+    sol_r = morphisms.ExtensionSolution(rsd.sg, products.pi2_congruence(rsd))
+    return psi, rsd, sol_l, sol_r
+
+
+def _pair_product_restricts(P):
+    psi, _, sol_l, sol_r = _lemma21(P)
+    return morphisms.solution_embedding(psi, sol_l, sol_r, iso=True)
+
+
+def _embeddings_transfer_both_ways(P):
+    psi, rsd, sol_l, sol_r = _lemma21(P)
+    back = np.empty(rsd.sg.order, dtype=np.int64)
+    back[psi.map] = np.arange(P.sg.order)
+    phi = morphisms.is_homomorphism(back, rsd.sg, P.sg)
+    return (morphisms.solution_embedding(psi, sol_l, sol_r, iso=True)
+            and morphisms.solution_embedding(phi, sol_r, sol_l, iso=True))
 
 
 def _eps_decomposition(eps):
@@ -444,242 +465,165 @@ def _eps_decomposition(eps):
     return congruences.decomposition_along(eta, embed=elems)
 
 
-def verify_prop_3_1(max_order=3, jobs=1):
-    pairs = [(kn, K, tn, T) for kn, K in _catalog_upto(max_order)
-             for tn, T in _catalog_upto(max_order)]
-    tasks = []
-    for kn, K, tn, T in pairs:
-
-        def fn(K=K, T=T):
-            for action in actions.enumerate_actions(T, K):
-                for eps in actions.enumerate_surjective_eps(K, T):
-                    afr, w = actions.check_AFR(action, eps)
-                    ae, w2 = actions.check_AE7_AE8(action, eps)
-                    mod, w3 = actions.check_modified(action, _eps_decomposition(eps))
-                    if not (afr == ae == mod):
-                        return False, {"afr": (afr, w), "elementwise": (ae, w2),
-                                       "classwise": (mod, w3)}
-            return True, None
-
-        tasks.append((f"three-forms-agree:{kn}|{tn}", fn))
-    return _run_tasks(tasks, jobs)
+def _three_forms_agree(pair):
+    K, T = pair
+    for action in actions.enumerate_actions(T, K):
+        for eps in actions.enumerate_surjective_eps(K, T):
+            afr, w = actions.check_AFR(action, eps)
+            ae, w2 = actions.check_AE7_AE8(action, eps)
+            mod, w3 = actions.check_modified(action, _eps_decomposition(eps))
+            if not (afr == ae == mod):
+                return False, {"afr": (afr, w), "elementwise": (ae, w2),
+                               "classwise": (mod, w3)}
+    return True, None
 
 
-def verify_cor_3_4(max_order=4, jobs=1):
-    tasks = []
-    for kn, tn, action, eps in fixtures.afr_sweep(max_order):
-
-        def fn(action=action, eps=eps):
-            ssl = actions.strong_semilattice(action, eps)
-            rebuilt = actions.rebuild_from_structure(ssl)
-            return bool(np.array_equal(rebuilt, action.K.table))
-
-        tasks.append((f"gluing-rebuilds-product:{kn}|{tn}", fn))
-    return _run_tasks(tasks, jobs)
+def _gluing_rebuilds_product(action_eps):
+    action, eps = action_eps
+    rebuilt = actions.rebuild_from_structure(actions.strong_semilattice(action, eps))
+    return bool(np.array_equal(rebuilt, action.K.table))
 
 
-def verify_prop_3_5(max_order=6, jobs=1):
-    tasks = []
-    for name, S in _catalog_upto(max_order):
-
-        def fn(S=S):
-            hull = trhull.enumerate_hull(S)
-            for th in congruences.enumerate_congruences(S):
-                he = trhull.hull_of_extension(S, th, hull=hull)
-                sig = trhull.omega_relation_signature(he)
-                if not np.array_equal(sig, he.omega.class_of):
-                    return False, "relation-mismatch"
-                chk = trhull.prop35_check(he)
-                if not all(chk.values()):
-                    return False, chk
-            return True, None
-
-        tasks.append((f"hull-projects-onto-quotient:{name}", fn))
-    return _run_tasks(tasks, jobs)
+def _hull_projects_onto_quotient(S):
+    hull = trhull.enumerate_hull(S)
+    for th in congruences.enumerate_congruences(S):
+        he = trhull.hull_of_extension(S, th, hull=hull)
+        sig = trhull.omega_relation_signature(he)
+        if not np.array_equal(sig, he.omega.class_of):
+            return False, "relation-mismatch"
+        chk = trhull.prop35_check(he)
+        if not all(chk.values()):
+            return False, chk
+    return True, None
 
 
-def _rsd_sweep(max_order):
-    return [(label, P) for label, P in fixtures.rsd_fixtures()
-            if P.sg.order <= max_order]
+def _all_values(check, P):
+    out = check(P)
+    return all(out.values()), out
 
 
-def verify_lemma_3_6(max_order=20, jobs=1):
-    tasks = []
-    for label, P in _rsd_sweep(max_order):
-
-        def fn(P=P):
-            out = trhull.shift_pairs_are_translations(P)
-            return all(out.values()), out
-
-        tasks.append((f"shifts-are-linked-pairs:{label}", fn))
-    return _run_tasks(tasks, jobs)
+def _intermediate_subsemigroup_criterion(S):
+    for th in congruences.enumerate_congruences(S):
+        out = billhardt.prop39_check(S, th)
+        if not (out["plain_equivalent"] and out["split_equivalent"]):
+            return False, out
+    return True, None
 
 
-def verify_lemma_3_7(max_order=20, jobs=1):
-    tasks = []
-    for label, P in _rsd_sweep(max_order):
-
-        def fn(P=P):
-            out = trhull.shift_embedding_check(P)
-            return all(out.values()), out
-
-        tasks.append((f"shift-map-embeds:{label}", fn))
-    return _run_tasks(tasks, jobs)
+def _round_trip(P):
+    theta = congruences.congruence_from_map(P.sg, P.pi2.map)
+    tr = billhardt.theorem310_forward(P)
+    _, phi = billhardt.theorem310_backward(P.sg, theta, tr)
+    return phi.bijective
 
 
-def verify_lemma_3_8(max_order=20, jobs=1):
-    tasks = []
-    for label, P in _rsd_sweep(max_order):
-
-        def fn(P=P):
-            out = trhull.shift_order_and_conjugation_check(P)
-            return all(out.values()), out
-
-        tasks.append((f"shift-dominance-and-conjugation:{label}", fn))
-    return _run_tasks(tasks, jobs)
+def _fiber_compatible_power_closed(P):
+    sol = morphisms.ExtensionSolution(
+        P.sg, congruences.congruence_from_map(P.sg, P.pi2.map))
+    return products.build_p_eta(sol.induced_triple).sg.order >= 1
 
 
-def verify_prop_3_9(max_order=5, jobs=1):
-    tasks = []
-    for name, S in _catalog_upto(max_order):
-
-        def fn(S=S):
-            for th in congruences.enumerate_congruences(S):
-                out = billhardt.prop39_check(S, th)
-                if not (out["plain_equivalent"] and out["split_equivalent"]):
-                    return False, out
-            return True, None
-
-        tasks.append((f"intermediate-subsemigroup-criterion:{name}", fn))
-    return _run_tasks(tasks, jobs)
+def _wreath_embedding(extension):
+    S, th = extension
+    tr = billhardt.find_transversal(S, th)
+    if tr is None:
+        return True, "no-transversal"
+    emb = billhardt.thm42_embedding(S, th, tr)
+    ok = emb.psi.injective and (emb.route_consistent in (True, None))
+    return ok, None if ok else "route-divergence"
 
 
-def verify_thm_3_10(max_order=20, jobs=1):
-    tasks = []
-    for label, P in _rsd_sweep(max_order):
-
-        def fn(P=P):
-            theta = congruences.congruence_from_map(P.sg, P.pi2.map)
-            tr = billhardt.theorem310_forward(P)
-            prod, phi = billhardt.theorem310_backward(P.sg, theta, tr)
-            return phi.bijective
-
-        tasks.append((f"round-trip:{label}", fn))
-    return _run_tasks(tasks, jobs)
+def _embedding_sweep_nonvacuous(checks):
+    """At least two extensions of the sweep had a transversal to embed."""
+    hits = sum(c.witness != "no-transversal" for c in checks)
+    return [Check("embedding-sweep-nonvacuous", hits >= 2, hits)]
 
 
-def verify_prop_4_1(max_order=20, jobs=1):
-    tasks = []
-    for label, P in _rsd_sweep(max_order):
-
-        def fn(P=P):
-            sol = morphisms.ExtensionSolution(
-                P.sg, congruences.congruence_from_map(P.sg, P.pi2.map))
-            peta = products.build_p_eta(sol.induced_triple)
-            return peta.sg.order >= 1
-
-        tasks.append((f"fiber-compatible-power-closed:{label}", fn))
-    return _run_tasks(tasks, jobs)
+def _restriction_iso_roundtrip(pair):
+    K, T = pair
+    lwr = products.build_lwr(K, T)
+    hwr = products.build_hwr(K, T)
+    psi = products.Psi_remark(lwr, hwr)
+    phi = products.hbar_inverse(lwr, hwr)
+    identity = np.arange(lwr.sg.order)
+    return (bool(np.array_equal(phi.map[psi.map], identity))
+            and bool(np.array_equal(psi.map[phi.map], identity)))
 
 
-def verify_thm_4_2(max_order=5, jobs=1):
-    tasks = []
-    embeddable = []
-    for name, S in _catalog_upto(max_order):
-        for i, th in enumerate(congruences.enumerate_congruences(S)):
-            embeddable.append((f"{name}#cong{i}", S, th))
-    for label, P in _rsd_sweep(8):
-        theta = congruences.congruence_from_map(P.sg, P.pi2.map)
-        embeddable.append((f"{label}", P.sg, theta))
-    hits = []
-    for label, S, th in embeddable:
-
-        def fn(S=S, th=th):
-            tr = billhardt.find_transversal(S, th)
-            if tr is None:
-                return True, "no-transversal"
-            emb = billhardt.thm42_embedding(S, th, tr)
-            hits.append(1)
-            ok = emb.psi.injective and (emb.route_consistent in (True, None))
-            return ok, None if ok else "route-divergence"
-
-        tasks.append((f"wreath-embedding:{label}", fn))
-    out = _run_tasks(tasks, jobs)
-    out.append(Check("embedding-sweep-nonvacuous", len(hits) >= 2, len(hits)))
-    return out
+class Suite(NamedTuple):
+    prefix: str
+    max_order: int
+    sweep: Callable
+    predicate: Callable
+    summary: Callable = None    # checks -> further checks, run after the sweep
 
 
-def verify_remark_4_3(max_order=4096, jobs=1):
-    cat = fixtures.catalog()
-    pairs = [("z2", "chain2"), ("chain2", "chain2"), ("chain2", "chain3"),
-             ("z3", "z2"), ("chain2", "z2"), ("fork", "chain2")]
-    tasks = []
-    for kn, tn in pairs:
-        K, T = cat[kn], cat[tn]
-        if K.order ** T.order > max_order:
-            continue
-
-        def fn(K=K, T=T):
-            lwr = products.build_lwr(K, T)
-            hwr = products.build_hwr(K, T)
-            psi = products.Psi_remark(lwr, hwr)
-            phi = products.hbar_inverse(lwr, hwr)
-            n = lwr.sg.order
-            round1 = phi.map[psi.map]
-            round2 = psi.map[phi.map]
-            return (bool(np.array_equal(round1, np.arange(n)))
-                    and bool(np.array_equal(round2, np.arange(n))))
-
-        tasks.append((f"restriction-iso-roundtrip:{kn}|{tn}", fn))
-    return _run_tasks(tasks, jobs)
-
-
-VERIFIERS = {
-    "prop-2.2": verify_prop_2_2,
-    "lemma-2.1": verify_lemma_2_1,
-    "prop-3.1": verify_prop_3_1,
-    "cor-3.4": verify_cor_3_4,
-    "prop-3.5": verify_prop_3_5,
-    "lemma-3.6": verify_lemma_3_6,
-    "lemma-3.7": verify_lemma_3_7,
-    "lemma-3.8": verify_lemma_3_8,
-    "prop-3.9": verify_prop_3_9,
-    "thm-3.10": verify_thm_3_10,
-    "prop-4.1": verify_prop_4_1,
-    "thm-4.2": verify_thm_4_2,
-    "remark-4.3": verify_remark_4_3,
+# `verify all` runs the suites in this order
+SUITES = {
+    "prop-2.2": Suite("embeddings-transfer-both-ways", 24, _lsd_sweep,
+                      _embeddings_transfer_both_ways),
+    "lemma-2.1": Suite("pair-product-restricts", 24, _lsd_sweep, _pair_product_restricts),
+    "prop-3.1": Suite("three-forms-agree", 3, _catalog_pairs, _three_forms_agree),
+    "cor-3.4": Suite("gluing-rebuilds-product", 4, _afr_sweep, _gluing_rebuilds_product),
+    "prop-3.5": Suite("hull-projects-onto-quotient", 6, _catalog_upto,
+                      _hull_projects_onto_quotient),
+    "lemma-3.6": Suite("shifts-are-linked-pairs", 20, _rsd_sweep,
+                       partial(_all_values, trhull.shift_pairs_are_translations)),
+    "lemma-3.7": Suite("shift-map-embeds", 20, _rsd_sweep,
+                       partial(_all_values, trhull.shift_embedding_check)),
+    "lemma-3.8": Suite("shift-dominance-and-conjugation", 20, _rsd_sweep,
+                       partial(_all_values, trhull.shift_order_and_conjugation_check)),
+    "prop-3.9": Suite("intermediate-subsemigroup-criterion", 5, _catalog_upto,
+                      _intermediate_subsemigroup_criterion),
+    "thm-3.10": Suite("round-trip", 20, _rsd_sweep, _round_trip),
+    "prop-4.1": Suite("fiber-compatible-power-closed", 20, _rsd_sweep,
+                      _fiber_compatible_power_closed),
+    "thm-4.2": Suite("wreath-embedding", 5, _extensions, _wreath_embedding,
+                     _embedding_sweep_nonvacuous),
+    "remark-4.3": Suite("restriction-iso-roundtrip", 4096, _wreath_pairs,
+                        _restriction_iso_roundtrip),
 }
 
 
+def verify(name, max_order=None):
+    """The checks of suite `name` over its sweep at max_order (the suite's
+    default when None), each timed."""
+    suite = SUITES[name]
+    checks = []
+    for label, item in suite.sweep(suite.max_order if max_order is None else max_order):
+        t0 = time.perf_counter()
+        result = suite.predicate(item)
+        elapsed = time.perf_counter() - t0
+        ok, witness = result if isinstance(result, tuple) else (result, None)
+        checks.append(Check(f"{suite.prefix}:{label}", bool(ok), witness, elapsed))
+    if suite.summary:
+        checks += suite.summary(checks)
+    # a sweep that checked nothing has shown nothing
+    return checks or [Check("sweep-nonvacuous", False, {"max_order": max_order})]
+
+
 def cmd_verify(args):
+    if args.sweep and not pathlib.Path(args.sweep).is_dir():
+        raise UsageError(f"--sweep {args.sweep} is not a directory")
     report = Report(command=["verify", args.name])
-    names = list(VERIFIERS) if args.name == "all" else [args.name]
-    for name in names:
-        kwargs = {"jobs": args.jobs}
-        if args.max_order is not None:
-            kwargs["max_order"] = args.max_order
-        # a sweep that checked nothing has shown nothing
-        checks = VERIFIERS[name](**kwargs) or [
-            Check("sweep-nonvacuous", False, {"max_order": args.max_order})]
-        for check in checks:
-            report.checks.append(Check(f"{name}:{check.name}", check.passed,
-                                       check.witness))
+    for name in list(SUITES) if args.name == "all" else [args.name]:
+        report.checks += [replace(c, name=f"{name}:{c.name}")
+                          for c in verify(name, args.max_order)]
     if args.sweep:
         report.extra["sweep_note"] = _sweep_extra(args.sweep, report)
     return report
 
 
 def _sweep_extra(directory, report):
-    """Extra instances: validate each and run the hull/congruence basics."""
-    import pathlib
-    found = sorted(pathlib.Path(directory).glob("*.json"))
+    """Extra instances: validate each and run the hull/congruence basics.
+    An entry that cannot be read as an instance is a failed check."""
     names = []
-    for path in found:
+    for path in sorted(pathlib.Path(directory).glob("*.json")):
         path = str(path)
-        report.digests[path] = _digest(path)
         try:
-            S = core.from_dict(_load_json(path))
-        except Exception as exc:
+            report.digests[path] = _digest(path)
+            S = _load_instance(path)
+        except (UsageError, OSError) as exc:
             report.checks.append(Check(f"sweep:valid:{path}", False, str(exc)))
             continue
         report.checks.append(Check(f"sweep:valid:{path}", True))
@@ -755,9 +699,8 @@ def build_parser():
     q.set_defaults(fn=cmd_billhardt)
 
     q = sub.add_parser("verify", parents=[common], help="run a statement verifier suite")
-    q.add_argument("name", choices=list(VERIFIERS) + ["all"])
+    q.add_argument("name", choices=list(SUITES) + ["all"])
     q.add_argument("--max-order", type=int, default=None)
-    q.add_argument("--jobs", type=int, default=1)
     q.add_argument("--sweep", help="directory of extra instance JSONs")
     q.set_defaults(fn=cmd_verify)
 

@@ -26,24 +26,6 @@ class DoesNotRespect(Exception):
 
 
 @dataclass(frozen=True, eq=False)
-class LeftTranslation:
-    S: InverseSemigroup
-    map: np.ndarray
-
-    def __call__(self, s):
-        return int(self.map[s])
-
-
-@dataclass(frozen=True, eq=False)
-class RightTranslation:
-    S: InverseSemigroup
-    map: np.ndarray
-
-    def __call__(self, s):
-        return int(self.map[s])
-
-
-@dataclass(frozen=True, eq=False)
 class Bitranslation:
     S: InverseSemigroup
     left: np.ndarray
@@ -142,16 +124,6 @@ def _one_sided_translations(table, inv):
 
     dfs(0)
     return results
-
-
-def enumerate_left_translations(S):
-    return [LeftTranslation(S, lam) for lam in _one_sided_translations(S.table, S.inv)]
-
-
-def enumerate_right_translations(S):
-    # right translations are left translations of the opposite table
-    opp = np.ascontiguousarray(S.table.T)
-    return [RightTranslation(S, rho) for rho in _one_sided_translations(opp, S.inv)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,39 +42,39 @@ def test_criterion_02_kernel_formulas_exact():
 
 def test_criterion_03_unrestricted_product_restricts():
     t0 = time.time()
-    _all_pass(cli.verify_lemma_2_1())
+    _all_pass(cli.verify("lemma-2.1"))
     assert time.time() - t0 < 10
 
 
 def test_criterion_04_axiom_forms_equivalent_exhaustively():
     t0 = time.time()
-    _all_pass(cli.verify_prop_3_1(max_order=3))
+    _all_pass(cli.verify("prop-3.1", max_order=3))
     assert time.time() - t0 < 60
 
 
 def test_criterion_05_strong_semilattice_decomposition():
-    _all_pass(cli.verify_cor_3_4(max_order=4))
+    _all_pass(cli.verify("cor-3.4", max_order=4))
 
 
 def test_criterion_06_hull_projects_onto_quotient_hull():
     t0 = time.time()
-    _all_pass(cli.verify_prop_3_5(max_order=6))
+    _all_pass(cli.verify("prop-3.5", max_order=6))
     assert time.time() - t0 < 120
 
 
 def test_criterion_07_shift_pairs():
-    _all_pass(cli.verify_lemma_3_6(max_order=20))
-    _all_pass(cli.verify_lemma_3_7(max_order=20))
-    _all_pass(cli.verify_lemma_3_8(max_order=20))
+    _all_pass(cli.verify("lemma-3.6", max_order=20))
+    _all_pass(cli.verify("lemma-3.7", max_order=20))
+    _all_pass(cli.verify("lemma-3.8", max_order=20))
 
 
 def test_criterion_08_transversal_roundtrip():
-    _all_pass(cli.verify_thm_3_10(max_order=20))
+    _all_pass(cli.verify("thm-3.10", max_order=20))
 
 
 def test_criterion_09_wreath_embedding():
     t0 = time.time()
-    checks = cli.verify_thm_4_2(max_order=5)
+    checks = cli.verify("thm-4.2", max_order=5)
     _all_pass(checks)
     # the sweep embedded at least two genuine instances
     assert checks[-1].name == "embedding-sweep-nonvacuous"
@@ -82,7 +82,7 @@ def test_criterion_09_wreath_embedding():
 
 
 def test_criterion_10_total_map_form_isomorphic():
-    _all_pass(cli.verify_remark_4_3(max_order=4096))
+    _all_pass(cli.verify("remark-4.3", max_order=4096))
 
 
 def test_criterion_11_oracle_redundancy():

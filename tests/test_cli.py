@@ -329,7 +329,7 @@ def test_verify_tokens(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == len(report.checks)
 
-    code, report = cli.run(["verify", "prop-3.1", "--max-order", "2", "--jobs", "2"])
+    code, report = cli.run(["verify", "prop-3.1", "--max-order", "2"])
     assert code == 0
     code, report = cli.run(["verify", "prop-3.5", "--max-order", "3"])
     assert code == 0
@@ -359,3 +359,70 @@ def test_verify_sweep_dir(tmp_path, capsys):
     assert code == 1
     bad = [c for c in report.checks if not c.passed]
     assert len(bad) == 1 and "broken" in bad[0].name
+
+    # an entry that is a directory is a failed check, not a crash
+    (d / "broken.json").unlink()
+    (d / "x.json").mkdir()
+    code, report = cli.run(["verify", "remark-4.3", "--max-order", "16",
+                            "--sweep", str(d)])
+    assert code == 1
+    bad = [c for c in report.checks if not c.passed]
+    assert [c.name for c in bad] == [f"sweep:valid:{d / 'x.json'}"]
+
+    # a sweep that is missing or not a directory is bad input
+    for path in (tmp_path / "nonexistent", d / "chain2.json"):
+        code, report = cli.run(["verify", "remark-4.3", "--sweep", str(path)])
+        assert code == 2 and report is None
+        assert str(path) in capsys.readouterr().err
+
+
+# per suite of `verify all` at default sizes: check count, first and last check
+VERIFY_ALL = [
+    ("prop-2.2", 46, "embeddings-transfer-both-ways:lsd(chain2,chain2)#0",
+     "embeddings-transfer-both-ways:lsd(chain2,chain3)#5"),
+    ("lemma-2.1", 46, "pair-product-restricts:lsd(chain2,chain2)#0",
+     "pair-product-restricts:lsd(chain2,chain3)#5"),
+    ("prop-3.1", 49, "three-forms-agree:trivial|trivial", "three-forms-agree:z2_zero|z2_zero"),
+    ("cor-3.4", 78, "gluing-rebuilds-product:trivial|trivial",
+     "gluing-rebuilds-product:clifford4|clifford4"),
+    ("prop-3.5", 11, "hull-projects-onto-quotient:trivial", "hull-projects-onto-quotient:b2"),
+    ("lemma-3.6", 11, "shifts-are-linked-pairs:rsd(chain2,chain2)#1.0",
+     "shifts-are-linked-pairs:rsd(P(z2,chain2),chain2)"),
+    ("lemma-3.7", 11, "shift-map-embeds:rsd(chain2,chain2)#1.0",
+     "shift-map-embeds:rsd(P(z2,chain2),chain2)"),
+    ("lemma-3.8", 11, "shift-dominance-and-conjugation:rsd(chain2,chain2)#1.0",
+     "shift-dominance-and-conjugation:rsd(P(z2,chain2),chain2)"),
+    ("prop-3.9", 11, "intermediate-subsemigroup-criterion:trivial",
+     "intermediate-subsemigroup-criterion:b2"),
+    ("thm-3.10", 11, "round-trip:rsd(chain2,chain2)#1.0", "round-trip:rsd(P(z2,chain2),chain2)"),
+    ("prop-4.1", 11, "fiber-compatible-power-closed:rsd(chain2,chain2)#1.0",
+     "fiber-compatible-power-closed:rsd(P(z2,chain2),chain2)"),
+    ("thm-4.2", 52, "wreath-embedding:trivial#cong0", "embedding-sweep-nonvacuous"),
+    ("remark-4.3", 6, "restriction-iso-roundtrip:z2|chain2",
+     "restriction-iso-roundtrip:fork|chain2"),
+]
+
+
+def test_verify_all_is_pinned(capsys):
+    code, report = cli.run(["verify", "all", "--json"])
+    assert code == 0 and len(report.checks) == 354
+    suites = {}
+    for c in report.checks:
+        suite, name = c.name.split(":", 1)
+        suites.setdefault(suite, []).append(name)
+    assert [(s, len(n), n[0], n[-1]) for s, n in suites.items()] == VERIFY_ALL
+    # every check that ran a predicate carries its time; thm-4.2's summary ran none
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    untimed = [c["name"] for c in checks if "elapsed_s" not in c]
+    assert untimed == ["thm-4.2:embedding-sweep-nonvacuous"]
+    assert all(c["elapsed_s"] >= 0 for c in checks if "elapsed_s" in c)
+
+    assert cli.run(["verify", "all", "--jobs", "2"]) == (2, None)
+
+
+def test_check_time_is_not_compared_and_not_in_text(capsys):
+    checks = cli.verify("remark-4.3")
+    assert all(c.elapsed is not None for c in checks)
+    assert checks[0] == cli.Check(checks[0].name, True)
+    cli.run(["verify", "remark-4.3"])
+    assert "elapsed" not in capsys.readouterr().out
