@@ -341,7 +341,7 @@ def theorem310_backward(S, theta, tr):
 @dataclass(frozen=True, eq=False)
 class WreathEmbedding:
     triple: morphisms.NormalExtensionTriple
-    hwr_eta: products.EtaWreath
+    hwr_eta: products.HoughtonWreath
     psi: morphisms.Morphism
     f_elements: dict            # (s, t in the ideal) -> element of S
     phi: morphisms.Morphism | None
@@ -381,18 +381,8 @@ def thm42_embedding(S, theta, tr, with_total_route=True):
     elt_of = _inner_element_of(he)
     triple = morphisms.make_triple(Ksub, Q, qmap[kelems])
 
-    hwr_plain = None
-    pkt = None
-    if with_total_route:
-        try:
-            hwr_plain = products.build_hwr(Ksub, Q)
-            pkt = hwr_plain.pkt
-        except TooLarge:
-            hwr_plain = None
-    hwe = products.build_hwr_eta(triple, pkt=pkt)
-    peta = hwe.peta
-    ctx = peta.pkt.ctx
-    local_of_pkt = {int(p): i for i, p in enumerate(peta.members)}
+    hwe = products.build_hwr_eta(triple)
+    peta = hwe.pkt
 
     f_elements = {}
     psi_vals = np.empty(S.order, dtype=np.int64)
@@ -400,7 +390,7 @@ def thm42_embedding(S, theta, tr, with_total_route=True):
         t = int(qmap[s])
         u = int(Q.rans[t])
         vals = []
-        for x in ctx.ideals[u]:
+        for x in peta.ctx.ideals[u]:
             B = int(Q.table[x, t])
             pos = _transversal_conjugate(tr, x, s, B)
             elt = elt_of[pos]
@@ -413,15 +403,16 @@ def thm42_embedding(S, theta, tr, with_total_route=True):
             f_elements[(s, int(x))] = elt
             vals.append(kpos[elt])
         pfe = products.PartialFunctionElement(u, tuple(vals))
-        psi_vals[s] = hwe.index[(local_of_pkt[peta.pkt.index[pfe]], t)]
+        psi_vals[s] = hwe.index[(peta.index[pfe], t)]
         assert recovery_identity_holds(tr, s)
     psi = morphisms.is_homomorphism(psi_vals, S, hwe.sg)
     assert psi.injective
 
     phi = None
     route_consistent = None
-    if with_total_route and hwr_plain is not None:
+    if with_total_route:
         try:
+            hwr_plain = products.build_hwr(Ksub, Q)
             lwr = products.build_lwr(Ksub, Q)
         except TooLarge:
             lwr = None
@@ -440,10 +431,10 @@ def thm42_embedding(S, theta, tr, with_total_route=True):
             assert phi.injective
             restrict = products.Psi_remark(lwr, hwr_plain)
             route_consistent = True
+            # the two routes must land on the same map, compared by value
             for s in range(S.order):
-                via = hwr_plain.elements[restrict.map[phi.map[s]]]
-                lp, t = hwe.elements[psi.map[s]]
-                direct = (int(peta.members[lp]), int(t))
-                if via != direct:
+                p, t = hwr_plain.elements[restrict.map[phi.map[s]]]
+                lp, u = hwe.elements[psi.map[s]]
+                if (hwr_plain.pkt.elements[p], t) != (peta.elements[lp], u):
                     route_consistent = False
     return WreathEmbedding(triple, hwe, psi, f_elements, phi, route_consistent)

@@ -149,6 +149,22 @@ def _congruence(data, where, S):
         raise UsageError(f"{where}: 'class_of' is not a congruence: {exc}") from None
 
 
+def _int_cells(x):
+    return all(map(_int_cells, x)) if isinstance(x, list) else type(x) is int
+
+
+def _map(data, key, where, build):
+    """build(the integer array in data[key]), or a usage error naming where."""
+    values = _field(data, key, where)
+    if not isinstance(values, list) or not _int_cells(values):
+        raise UsageError(f"{where}: {key!r} must be a list of integers")
+    try:
+        return build(np.asarray(values, dtype=np.int64))
+    except (ValueError, OverflowError, actions.NotEndomorphism, actions.NotActionHom,
+            morphisms.NotMultiplicative, congruences.NotSurjective) as exc:
+        raise UsageError(f"{where}: {key!r} is rejected: {exc}") from None
+
+
 def _emit(report, args, stream=None):
     if stream is None:
         stream = sys.stdout
@@ -210,16 +226,6 @@ def cmd_congruences(args):
     return report
 
 
-def _action_from_file(path, T, K):
-    act = _field(_load_json(path), "act", path)
-    return actions.validate_action(T, K, np.asarray(act, dtype=np.int64))
-
-
-def _eps_from_file(path, K, T):
-    values = _field(_load_json(path), "map", path)
-    return actions.validate_eps(K, T, np.asarray(values, dtype=np.int64))
-
-
 def cmd_product(args):
     report = Report(command=["product", args.kind])
     K = _load_instance(args.k)
@@ -229,14 +235,15 @@ def cmd_product(args):
     if args.kind in ("lsd", "rsd"):
         if not args.action:
             raise UsageError(f"product {args.kind} requires --action")
-        action = _action_from_file(args.action, T, K)
+        action = _map(_load_json(args.action), "act", args.action,
+                      partial(actions.validate_action, T, K))
         report.digests[args.action] = _digest(args.action)
     if args.kind == "lsd":
         P = products.build_lsd(K, T, action)
     elif args.kind == "rsd":
         if not args.eps:
             raise UsageError("product rsd requires --eps")
-        eps = _eps_from_file(args.eps, K, T)
+        eps = _map(_load_json(args.eps), "map", args.eps, partial(actions.validate_eps, K, T))
         report.digests[args.eps] = _digest(args.eps)
         P = products.build_rsd(K, T, action, eps)
     elif args.kind == "hwr":
@@ -244,9 +251,9 @@ def cmd_product(args):
     elif args.kind == "hwr-eta":
         if not args.eta:
             raise UsageError("product hwr-eta requires --eta")
-        values = _field(_load_json(args.eta), "map", args.eta)
         report.digests[args.eta] = _digest(args.eta)
-        triple = morphisms.make_triple(K, T, np.asarray(values, dtype=np.int64))
+        triple = _map(_load_json(args.eta), "map", args.eta,
+                      partial(morphisms.make_triple, K, T))
         P = products.build_hwr_eta(triple)
     else:
         P = products.build_lwr(K, T)
@@ -306,8 +313,9 @@ def cmd_check_afr(args):
     T = _load_instance(args.t)
     for p in (args.action, args.eps, args.k, args.t):
         report.digests[p] = _digest(p)
-    action = _action_from_file(args.action, T, K)
-    eps = _eps_from_file(args.eps, K, T)
+    action = _map(_load_json(args.action), "act", args.action,
+                  partial(actions.validate_action, T, K))
+    eps = _map(_load_json(args.eps), "map", args.eps, partial(actions.validate_eps, K, T))
     ok, w = actions.check_AFR(action, eps)
     report.checks.append(Check("fixed-range-axiom", ok, w))
     ok2, w2 = actions.check_AE7_AE8(action, eps)
@@ -327,8 +335,7 @@ def cmd_check_solution(args):
     tdata = _load_json(args.triple)
     K = _instance(_field(tdata, "k", args.triple), f"{args.triple} 'k'")
     T = _instance(_field(tdata, "t", args.triple), f"{args.triple} 't'")
-    eta = np.asarray(_field(tdata, "eta", args.triple), dtype=np.int64)
-    triple = morphisms.make_triple(K, T, eta)
+    triple = _map(tdata, "eta", args.triple, partial(morphisms.make_triple, K, T))
     sdata = _load_json(args.solution)
     S = _instance(_field(sdata, "s", args.solution), f"{args.solution} 's'")
     theta = _congruence(_field(sdata, "theta", args.solution), args.solution, S)
@@ -518,9 +525,12 @@ def _round_trip(P):
 
 
 def _fiber_compatible_power_closed(P):
-    sol = morphisms.ExtensionSolution(
-        P.sg, congruences.congruence_from_map(P.sg, P.pi2.map))
-    return products.build_p_eta(sol.induced_triple).sg.order >= 1
+    sol = morphisms.ExtensionSolution(P.sg, congruences.congruence_from_map(P.sg, P.pi2.map))
+    try:
+        products.build_p_eta(sol.induced_triple)
+    except products.ProductInvalid as exc:
+        return False, exc.witness
+    return True
 
 
 def _wreath_embedding(extension):
@@ -578,7 +588,7 @@ SUITES = {
     "thm-3.10": Suite("round-trip", 20, _rsd_sweep, _round_trip),
     "prop-4.1": Suite("fiber-compatible-power-closed", 20, _rsd_sweep,
                       _fiber_compatible_power_closed),
-    "thm-4.2": Suite("wreath-embedding", 5, _extensions, _wreath_embedding,
+    "thm-4.2": Suite("wreath-embedding", 7, _extensions, _wreath_embedding,
                      _embedding_sweep_nonvacuous),
     "remark-4.3": Suite("restriction-iso-roundtrip", 4096, _wreath_pairs,
                         _restriction_iso_roundtrip),

@@ -4,9 +4,13 @@ Two pair rules share one vectorized table builder: the unrestricted one
 keeps (a,t) with ran(t).a = a and multiplies as ((ran(tu).a)(t.b), tu);
 the range-restricted one keeps eps(a) = ran(t) and multiplies as
 (a(t.b), tu).  On the restricted carrier both rules agree, which the
-builder asserts.
+builder checks.  One pointwise-power builder serves both partial-map
+wreaths: a map's value at x ranges over a fiber of K, all of K for hwr and
+the kernel class over ran(x) for the eta-wreath, so P_eta is built from
+kernel classes, not filtered out of the whole power.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +22,22 @@ from .core import FiniteSemigroup, InverseSemigroup, TooLarge
 WREATH_CAP = 20000
 POWER_CAP = 4096
 NAME_CAP = 200
+
+
+class ProductInvalid(Exception):
+    """A construction broke its defining property; the witness says where."""
+
+    def __init__(self, reason, witness):
+        self.reason = reason
+        self.witness = witness
+        super().__init__(f"{reason} at {witness}")
+
+
+def _require(bad, reason, label=int):
+    """Raise ProductInvalid at the first cell of the mask bad, labelling
+    each of its indices."""
+    if bad.any():
+        raise ProductInvalid(reason, tuple(label(int(i)) for i in np.argwhere(bad)[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,19 +81,20 @@ def _build_pair_product(K, T, action, elements, restricted):
     if restricted:
         a_new = K.table[np.broadcast_to(A[:, None], (m, m)), second]
         # on the restricted carrier the shrink is a no-op
-        assert np.array_equal(a_new, K.table[shrunk, second])
+        _require(a_new != K.table[shrunk, second],
+                 "shrinking and restricted rules disagree", elements.__getitem__)
     else:
         a_new = K.table[shrunk, second]
     pairdex = np.full((K.order, T.order), -1, dtype=np.int64)
     pairdex[A, U] = np.arange(m)
     table = pairdex[a_new, t_new]
-    assert (table >= 0).all(), "carrier not closed under the pair rule"
+    _require(table < 0, "carrier not closed under the pair rule", elements.__getitem__)
     sg = core.validate(table, names=_pair_names(K, T, elements))
     # the inverse of (a,t) is (t^-1 . a^-1, t^-1)
     expect = pairdex[act[T.inv[U], K.inv[A]], T.inv[U]]
-    assert np.array_equal(sg.inv, expect)
+    _require(sg.inv != expect, "inverse is not (t^-1 . a^-1, t^-1)", elements.__getitem__)
     pi2 = morphisms.is_homomorphism(U, sg, T)
-    assert pi2.surjective
+    _require(np.bincount(U, minlength=T.order) == 0, "second projection misses")
     return index, sg, pi2
 
 
@@ -203,9 +224,6 @@ class PFunContext:
         return PartialFunctionElement(
             al.domain_generator, tuple(int(self.K.inv[v]) for v in al.values))
 
-    def eps(self, al):
-        return al.domain_generator
-
     def name(self, al):
         e = al.domain_generator
         body = ",".join(f"{self.T.name_of(x)}>{self.K.name_of(v)}"
@@ -226,28 +244,46 @@ class PointwisePower:
     eps: EpsilonMap
 
 
-def build_pkt(K, T, cap=WREATH_CAP):
-    """Union over idempotents e of all maps Te -> K, under pointwise product."""
+def build_pkt(K, T, fibers=None, cap=WREATH_CAP):
+    """Union over idempotents e of the maps Te -> K under pointwise product,
+    where the value at x ranges over fibers[x], an ascending array of K
+    elements (all of K when fibers is None).  Each block is a mixed radix
+    over the fiber sizes, so its maps come in lexicographic order of their
+    values; a product or action value outside its fiber raises."""
     ctx = PFunContext(K, T)
-    nK = K.order
+    if fibers is None:
+        fibers = [np.arange(K.order)] * T.order
     gens = sorted(T.idempotents)
-    length = {e: len(ctx.ideals[e]) for e in gens}
-    sizes = {e: nK ** length[e] for e in gens}
+    radix = {e: tuple(len(fibers[x]) for x in ctx.ideals[e]) for e in gens}
+    sizes = {e: math.prod(radix[e]) for e in gens}
     total = sum(sizes.values())
     if total > cap:
         raise TooLarge("pointwise power order", total, cap)
-    blocks = {}
+    # rank[x, k]: the digit of value k at point x, -1 outside its fiber
+    rank = np.full((T.order, K.order), -1, dtype=np.int64)
+    for x, f in enumerate(fibers):
+        rank[x, f] = np.arange(len(f))
+    blocks, V, points = {}, {}, {}
     off = 0
     for e in gens:
         blocks[e] = (off, sizes[e])
         off += sizes[e]
-    V = {e: actions._mixed_radix(np.arange(sizes[e]), length[e], nK) for e in gens}
-    wts = {e: nK ** np.arange(length[e] - 1, -1, -1) for e in gens}
-    elements = []
-    for e in gens:
-        for row in V[e]:
-            elements.append(PartialFunctionElement(e, tuple(int(v) for v in row)))
-    elements = tuple(elements)
+        points[e] = np.array(ctx.ideals[e], dtype=np.int64)
+        digits = np.unravel_index(np.arange(sizes[e]), radix[e])
+        V[e] = np.stack([fibers[x][d] for x, d in zip(ctx.ideals[e], digits)], axis=1)
+
+    def encode(g, values, what, operands):
+        """Block g's indices of the maps with these values on Tg."""
+        d = rank[points[g], values]
+        if (d < 0).any():
+            *ops, k = (int(i) for i in np.argwhere(d < 0)[0])
+            raise ProductInvalid(f"{what} value outside its fiber", {
+                "operands": operands(*ops), "point": ctx.ideals[g][k],
+                "value": int(values[(*ops, k)])})
+        return blocks[g][0] + np.ravel_multi_index(tuple(np.moveaxis(d, -1, 0)), radix[g])
+
+    elements = tuple(PartialFunctionElement(e, tuple(row)) for e in gens
+                     for row in V[e].tolist())
     index = {p: i for i, p in enumerate(elements)}
     table = np.empty((total, total), dtype=np.int64)
     for e in gens:
@@ -258,14 +294,13 @@ def build_pkt(K, T, cap=WREATH_CAP):
             ixe = np.array([ctx.pos[e][x] for x in ctx.ideals[g]])
             ixf = np.array([ctx.pos[f][x] for x in ctx.ideals[g]])
             Bv = V[f][:, ixf]
-            step = max(1, (1 << 22) // max(1, mf * length[g]))
+            step = max(1, (1 << 22) // max(1, mf * len(ixe)))
             for r0 in range(0, me, step):
                 Av = V[e][r0:r0 + step][:, ixe]
                 C = K.table[Av[:, None, :], Bv[None, :, :]]
-                table[oe + r0:oe + r0 + len(Av), of:of + mf] = blocks[g][0] + C @ wts[g]
-    names = None
-    if total <= NAME_CAP:
-        names = tuple(ctx.name(p) for p in elements)
+                table[oe + r0:oe + r0 + len(Av), of:of + mf] = encode(
+                    g, C, "product", lambda i, j: (oe + r0 + i, of + j))
+    names = tuple(map(ctx.name, elements)) if total <= NAME_CAP else None
     sg = core.validate(table, names=names)
     act = np.empty((T.order, total), dtype=np.int64)
     for t in range(T.order):
@@ -274,13 +309,10 @@ def build_pkt(K, T, cap=WREATH_CAP):
             e2 = int(T.rans[T.table[t, e]])
             cols = np.array([ctx.pos[e][int(T.table[x, t])] for x in ctx.ideals[e2]],
                             dtype=np.int64)
-            act[t, oe:oe + me] = blocks[e2][0] + V[e][:, cols] @ wts[e2]
+            act[t, oe:oe + me] = encode(e2, V[e][:, cols], "action",
+                                        lambda i: (t, oe + i))
     action = actions.validate_action(T, sg, act)
-    eps_vals = np.empty(total, dtype=np.int64)
-    for e in gens:
-        oe, me = blocks[e]
-        eps_vals[oe:oe + me] = e
-    eps = actions.validate_eps(sg, T, eps_vals)
+    eps = actions.validate_eps(sg, T, np.repeat(gens, [sizes[e] for e in gens]))
     return PointwisePower(K, T, ctx, elements, index, blocks, sg, action, eps)
 
 
@@ -288,7 +320,7 @@ def build_pkt(K, T, cap=WREATH_CAP):
 class HoughtonWreath:
     K: InverseSemigroup
     T: InverseSemigroup
-    pkt: PointwisePower
+    pkt: PointwisePower         # P(K,T), or P_eta under the eta-wreath
     elements: tuple             # (power index, t)
     index: dict
     sg: InverseSemigroup
@@ -306,71 +338,33 @@ def build_hwr(K, T, cap=WREATH_CAP):
     total = wreath_order(K, T)
     if total > cap:
         raise TooLarge("wreath order", total, cap)
-    pkt = build_pkt(K, T, cap)
-    elements = tuple((p, t) for p in range(len(pkt.elements)) for t in range(T.order)
-                     if pkt.elements[p].domain_generator == int(T.rans[t]))
-    assert len(elements) == total
-    rsd = build_rsd(pkt.sg, T, pkt.action, pkt.eps)
-    assert rsd.elements == elements
-    return HoughtonWreath(K, T, pkt, rsd.elements, rsd.index, rsd.sg, rsd.pi2, rsd)
+    hw = _wreath_over(build_pkt(K, T, cap=cap))
+    elements = tuple((p, t) for p, al in enumerate(hw.pkt.elements) for t in range(T.order)
+                     if al.domain_generator == int(T.rans[t]))
+    if len(elements) != total:
+        raise ProductInvalid("carrier size differs from wreath_order", (len(elements), total))
+    if hw.elements != elements:
+        raise ProductInvalid("pair product carrier differs from the wreath carrier",
+                             min(set(hw.elements) ^ set(elements), default="order"))
+    return hw
 
 
-@dataclass(frozen=True, eq=False)
-class RangeCompatiblePower:
-    triple: morphisms.NormalExtensionTriple
-    pkt: PointwisePower
-    members: np.ndarray         # local index -> pkt index
-    sg: InverseSemigroup
-    action: EndoAction
-    eps: EpsilonMap
+def _wreath_over(pkt):
+    """The restricted pair product of a pointwise power by T."""
+    rsd = build_rsd(pkt.sg, pkt.T, pkt.action, pkt.eps)
+    return HoughtonWreath(pkt.K, pkt.T, pkt, rsd.elements, rsd.index, rsd.sg, rsd.pi2, rsd)
 
 
-def build_p_eta(triple, pkt=None, cap=WREATH_CAP):
-    """Restrict the pointwise power to maps sending each x to the fiber of ran(x)."""
-    K, T = triple.K, triple.T
-    if pkt is None:
-        pkt = build_pkt(K, T, cap)
-    e_index = {int(t): i for i, t in enumerate(triple.e_in_t)}
-    allowed = np.zeros((T.order, K.order), dtype=bool)
-    for x in range(T.order):
-        want = e_index[int(T.rans[x])]
-        allowed[x] = triple.eta.map == want
-    members = []
-    for e, (oe, me) in pkt.blocks.items():
-        ideal = np.array(pkt.ctx.ideals[e], dtype=np.int64)
-        V = np.array([pkt.elements[oe + i].values for i in range(me)], dtype=np.int64)
-        mask = allowed[ideal[:, None], V.T].all(axis=0)
-        members.extend((oe + np.flatnonzero(mask)).tolist())
-    sub, pelems = core.subsemigroup(pkt.sg, members)
-    pos = {int(x): i for i, x in enumerate(pelems)}
-    act = np.empty((T.order, len(pelems)), dtype=np.int64)
-    for t in range(T.order):
-        for i, p in enumerate(pelems):
-            v = int(pkt.action.act[t, p])
-            assert v in pos, "range-compatible power not closed under the action"
-            act[t, i] = pos[v]
-    action = actions.validate_action(T, sub, act)
-    eps = actions.validate_eps(sub, T, pkt.eps.map[pelems])
-    ok, w = actions.check_AFR(action, eps)
-    assert ok, f"restricted power lost the fixed-range condition at {w}"
-    return RangeCompatiblePower(triple, pkt, pelems, sub, action, eps)
+def build_p_eta(triple, cap=WREATH_CAP):
+    """The pointwise power of the maps sending each x into the kernel fiber
+    over ran(x): over e it is the direct product of those kernel classes."""
+    T = triple.T
+    fibers = [np.flatnonzero(triple.eta_in_t == T.rans[x]) for x in range(T.order)]
+    return build_pkt(triple.K, T, fibers, cap)
 
 
-@dataclass(frozen=True, eq=False)
-class EtaWreath:
-    triple: morphisms.NormalExtensionTriple
-    peta: RangeCompatiblePower
-    elements: tuple             # (local power index, t)
-    index: dict
-    sg: InverseSemigroup
-    pi2: morphisms.Morphism
-    rsd: FullRestrictedSemidirectProduct
-
-
-def build_hwr_eta(triple, pkt=None, cap=WREATH_CAP):
-    peta = build_p_eta(triple, pkt=pkt, cap=cap)
-    rsd = build_rsd(peta.sg, triple.T, peta.action, peta.eps)
-    return EtaWreath(triple, peta, rsd.elements, rsd.index, rsd.sg, rsd.pi2, rsd)
+def build_hwr_eta(triple, cap=WREATH_CAP):
+    return _wreath_over(build_p_eta(triple, cap))
 
 
 @dataclass(frozen=True, eq=False)

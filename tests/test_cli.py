@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +135,56 @@ def test_bad_class_of_is_usage_error(tmp_path, capsys):
             code, report = cli.run(argv)
             assert code == 2 and report is None
             assert "'class_of'" in capsys.readouterr().err
+
+
+# K = chain2 under T = z2_zero (idempotents 0 and 1, g = 2); eta is for
+# K = clifford4, whose element 2a+b lies over b
+GOOD_MAPS = {"act": [[0, 0], [0, 1], [0, 1]], "eps": [0, 1], "eta": [0, 1, 0, 1]}
+
+
+@pytest.mark.parametrize("kind,values", [
+    ("eta", [0, 1, 0]),                 # too short
+    ("eta", [0, 1, 0, 1, 0]),           # too long
+    ("eta", [0, 2, 0, 1]),              # g is not idempotent
+    ("eta", [1, 0, 1, 0]),              # not a morphism
+    ("eta", [1, 1, 1, 1]),              # misses the idempotent 0
+    ("eta", [0, "a", 0, 1]),            # string cell
+    ("eta", [[0, 1], [0]]),             # ragged
+    ("act", [[0, 1]]),                  # wrong shape
+    ("act", [[1, 0], [0, 1], [0, 1]]),  # 0 acts by a non-endomorphism
+    ("act", [[0, 1], [0, 0], [0, 1]]),  # (g g).1 differs from g.(g.1)
+    ("act", [["a", 1], [0, 1], [0, 1]]),
+    ("eps", [0, 1, 0]),                 # wrong length
+    ("eps", [0, 2]),                    # g is not idempotent
+    ("eps", [1, 0]),                    # not a morphism
+    ("eps", "01"),
+])
+def test_bad_map_file_is_usage_error(tmp_path, capsys, catalog, kind, values):
+    k = inst(tmp_path, "chain2.json", catalog["chain2"])
+    cf = inst(tmp_path, "clifford4.json", catalog["clifford4"])
+    t = inst(tmp_path, "z2_zero.json", catalog["z2_zero"])
+    maps = dict(GOOD_MAPS, **{kind: values})
+    act = write(tmp_path, "act.json", {"act": maps["act"]})
+    eps = write(tmp_path, "eps.json", {"map": maps["eps"]})
+    eta = write(tmp_path, "eta.json", {"map": maps["eta"]})
+    triple = write(tmp_path, "triple.json", {"k": core.as_dict(catalog["clifford4"]),
+                                             "t": core.as_dict(catalog["z2_zero"]),
+                                             "eta": maps["eta"]})
+    sol = write(tmp_path, "sol.json", {"s": core.as_dict(catalog["chain2"]),
+                                       "theta": {"class_of": [0, 1]}})
+    bad = {"act": act, "eps": eps, "eta": eta}[kind]
+    if kind == "eta":
+        runs = [(["product", "hwr-eta", "--k", cf, "--t", t, "--eta", eta], eta),
+                (["check-solution", triple, sol], triple)]
+    else:
+        runs = [(["product", "rsd", "--k", k, "--t", t, "--action", act, "--eps", eps], bad),
+                (["check-afr", act, eps, "--k", k, "--t", t], bad)]
+    if kind == "act":
+        runs.append((["product", "lsd", "--k", k, "--t", t, "--action", act], act))
+    for argv, bad in runs:
+        code, report = cli.run(argv)
+        assert code == 2 and report is None, argv
+        assert bad in capsys.readouterr().err, argv
 
 
 def test_bad_arguments(tmp_path, capsys):
@@ -397,7 +452,7 @@ VERIFY_ALL = [
     ("thm-3.10", 11, "round-trip:rsd(chain2,chain2)#1.0", "round-trip:rsd(P(z2,chain2),chain2)"),
     ("prop-4.1", 11, "fiber-compatible-power-closed:rsd(chain2,chain2)#1.0",
      "fiber-compatible-power-closed:rsd(P(z2,chain2),chain2)"),
-    ("thm-4.2", 52, "wreath-embedding:trivial#cong0", "embedding-sweep-nonvacuous"),
+    ("thm-4.2", 56, "wreath-embedding:trivial#cong0", "embedding-sweep-nonvacuous"),
     ("remark-4.3", 6, "restriction-iso-roundtrip:z2|chain2",
      "restriction-iso-roundtrip:fork|chain2"),
 ]
@@ -405,7 +460,7 @@ VERIFY_ALL = [
 
 def test_verify_all_is_pinned(capsys):
     code, report = cli.run(["verify", "all", "--json"])
-    assert code == 0 and len(report.checks) == 354
+    assert code == 0 and len(report.checks) == 358
     suites = {}
     for c in report.checks:
         suite, name = c.name.split(":", 1)
@@ -418,6 +473,23 @@ def test_verify_all_is_pinned(capsys):
     assert all(c["elapsed_s"] >= 0 for c in checks if "elapsed_s" in c)
 
     assert cli.run(["verify", "all", "--jobs", "2"]) == (2, None)
+
+
+def _limit_address_space():
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, hard))
+
+
+def test_thm42_at_order_8_fits_in_memory():
+    # i2's identity congruence has a P_eta of order 4, whose whole pointwise
+    # power (order 16,516, a 2.18 GB table) must never be built
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-m", "invsem", "verify", "thm-4.2",
+                          "--max-order", "8"], env=env, capture_output=True, text=True,
+                         preexec_fn=_limit_address_space, timeout=300)
+    assert "MemoryError" not in out.stderr
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert "\nok (56/56 checks, " in out.stdout
 
 
 def test_check_time_is_not_compared_and_not_in_text(capsys):

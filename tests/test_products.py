@@ -1,3 +1,10 @@
+import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,20 +75,25 @@ def test_unrestricted_rebuilds_as_restricted(lsd_fixtures):
 
 
 def test_pfun_objectwise_laws(catalog):
-    z2, chain2 = catalog["z2"], catalog["chain2"]
-    pkt = pr.build_pkt(z2, chain2)
-    ctx = pkt.ctx
-    n = pkt.sg.order
-    assert n == 6 and pkt.blocks == {0: (0, 2), 1: (2, 4)}
-    for i in range(n):
-        al = pkt.elements[i]
-        assert pkt.eps.map[i] == ctx.eps(al)
-        assert pkt.index[ctx.inv(al)] == pkt.sg.inv[i]
-        for j in range(n):
-            be = pkt.elements[j]
-            assert pkt.index[ctx.oplus(al, be)] == pkt.sg.table[i, j]
-        for t in range(chain2.order):
-            assert pkt.index[ctx.act(t, al)] == pkt.action.act[t, i]
+    assert pr.build_pkt(catalog["z2"], catalog["chain2"]).blocks == {0: (0, 2), 1: (2, 4)}
+    for kn, tn in [("z2", "chain2"), ("chain2", "chain3"), ("z2", "z2_zero")]:
+        K, T = catalog[kn], catalog[tn]
+        pkt = pr.build_pkt(K, T)
+        ctx = pkt.ctx
+        # the default fibers give every map Te -> K, in lexicographic order
+        assert pkt.elements == tuple(
+            pr.PartialFunctionElement(e, v) for e in sorted(T.idempotents)
+            for v in itertools.product(range(K.order), repeat=len(ctx.ideals[e])))
+        n = pkt.sg.order
+        for i in range(n):
+            al = pkt.elements[i]
+            assert pkt.eps.map[i] == al.domain_generator
+            assert pkt.index[ctx.inv(al)] == pkt.sg.inv[i]
+            for j in range(n):
+                be = pkt.elements[j]
+                assert pkt.index[ctx.oplus(al, be)] == pkt.sg.table[i, j]
+            for t in range(T.order):
+                assert pkt.index[ctx.act(t, al)] == pkt.action.act[t, i]
 
 
 def test_pkt_satisfies_fixed_range(catalog):
@@ -115,20 +127,100 @@ def test_total_and_ideal_forms_are_isomorphic(catalog):
         assert (phi.map[psi.map] == np.arange(len(lwr.elements))).all()
 
 
-def test_range_compatible_power(catalog):
+ORACLE_CAP = 400     # the filter route builds the whole power; keep it small
+
+
+def _p_eta_by_filter(triple):
+    """The route P_eta was once built by: the whole pointwise power, then
+    the maps sending each x into the kernel fiber over ran(x), re-indexed."""
+    T = triple.T
+    pkt = pr.build_pkt(triple.K, T, cap=ORACLE_CAP)
+    allowed = T.rans[:, None] == triple.eta_in_t[None, :]      # [x, a]
+    members = [i for i, al in enumerate(pkt.elements)
+               if all(allowed[x, v] for x, v in
+                      zip(pkt.ctx.ideals[al.domain_generator], al.values))]
+    sub, pelems = core.subsemigroup(pkt.sg, members)
+    pos = {int(p): i for i, p in enumerate(pelems)}
+    act = np.vectorize(pos.__getitem__, otypes=[np.int64])(pkt.action.act[:, pelems])
+    return pkt, pelems, sub, act
+
+
+def _extension_triples(catalog, rsd_fixtures):
+    for name, S in catalog.items():
+        for i, th in enumerate(cg.enumerate_congruences(S)):
+            yield f"{name}#cong{i}", mo.ExtensionSolution(S, th).induced_triple
+    for label, P in rsd_fixtures:
+        yield label, mo.ExtensionSolution(P.sg, pr.pi2_congruence(P)).induced_triple
+
+
+def test_range_compatible_power(catalog, rsd_fixtures):
+    compared = 0
+    for label, triple in _extension_triples(catalog, rsd_fixtures):
+        T = triple.T
+        peta = pr.build_p_eta(triple)
+        # over e it is the direct product of the kernel classes over ran(x), x in Te
+        fiber = np.bincount(triple.eta_in_t, minlength=T.order)
+        assert peta.sg.order == sum(math.prod(int(fiber[T.rans[x]]) for x in peta.ctx.ideals[e])
+                                    for e in T.idempotents), label
+        try:
+            pkt, pelems, sub, act = _p_eta_by_filter(triple)
+        except TooLarge:
+            continue
+        assert peta.elements == tuple(pkt.elements[p] for p in pelems), label
+        assert np.array_equal(peta.sg.table, sub.table), label
+        assert np.array_equal(peta.sg.inv, sub.inv), label
+        assert peta.sg.idempotents == sub.idempotents, label
+        assert np.array_equal(peta.action.act, act), label
+        assert np.array_equal(peta.eps.map, pkt.eps.map[pelems]), label
+        if sub.names is not None:
+            assert peta.sg.names == sub.names, label
+        compared += 1
+    # all 57 but i2's identity congruence, whose whole power has order 16,516
+    assert compared == 56
+
+
+def test_eta_wreath_labels(catalog):
     cf, chain2 = catalog["clifford4"], catalog["chain2"]
-    triple = mo.make_triple(cf, chain2, [0, 1, 0, 1])
-    peta = pr.build_p_eta(triple)
-    assert peta.sg.order == 6
-    # every member sends each point into the fiber over its range
-    e_index = {int(t): i for i, t in enumerate(triple.e_in_t)}
-    for i, p in enumerate(peta.members):
-        al = peta.pkt.elements[int(p)]
-        for x, v in zip(peta.pkt.ctx.ideals[al.domain_generator], al.values):
-            assert triple.eta.map[v] == e_index[int(chain2.rans[x])]
-    hwe = pr.build_hwr_eta(triple, pkt=peta.pkt)
-    assert hwe.sg.order == 6
-    assert hwe.peta.pkt is peta.pkt
+    hwe = pr.build_hwr_eta(mo.make_triple(cf, chain2, [0, 1, 0, 1]))
+    assert hwe.sg.order == 6 and hwe.pkt.sg.order == 6
+    # the whole power over chain3 has order 6 + 36 + 216 > NAME_CAP; P_eta has 14
+    K, T = core.direct_product(catalog["z2"], catalog["chain3"]), catalog["chain3"]
+    hwe = pr.build_hwr_eta(mo.make_triple(K, T, np.arange(K.order) % 3))
+    assert hwe.pkt.sg.order == 14 and hwe.sg.order == 14
+    assert hwe.sg.names[:4] == ("({0>(1,0)}|0)", "({0>(g,0)}|0)",
+                                "({0>(1,0),1>(1,1)}|1)", "({0>(1,0),1>(g,1)}|1)")
+
+
+_OUTSIDE_FIBERS = """
+import numpy as np
+from invsem import actions, fixtures, products
+cat = fixtures.catalog()
+z2, trivial = cat["z2"], cat["trivial"]
+for build in (lambda: products.build_pkt(z2, trivial, [np.array([1])]),
+              lambda: products._build_pair_product(
+                  z2, trivial, actions.validate_action(trivial, z2, [[0, 1]]),
+                  ((1, 0),), restricted=False)):
+    try:
+        build()
+    except products.ProductInvalid as exc:
+        print(exc.witness, exc)
+"""
+
+
+def test_verdicts_survive_python_O(catalog):
+    z2, trivial = catalog["z2"], catalog["trivial"]
+    # g.g = 1 leaves the fiber {g}, and the carrier {(g, e)}
+    with pytest.raises(pr.ProductInvalid, match="product value outside its fiber") as e1:
+        pr.build_pkt(z2, trivial, [np.array([1])])
+    assert e1.value.witness == {"operands": (0, 0), "point": 0, "value": 0}
+    with pytest.raises(pr.ProductInvalid, match="carrier not closed") as e2:
+        pr._build_pair_product(z2, trivial, ac.validate_action(trivial, z2, [[0, 1]]),
+                               ((1, 0),), restricted=False)
+    assert e2.value.witness == ((1, 0), (1, 0))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", _OUTSIDE_FIBERS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "".join(f"{e.value.witness} {e.value}\n" for e in (e1, e2))
 
 
 def test_reduce_first_factor(catalog):
