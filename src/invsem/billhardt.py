@@ -9,8 +9,8 @@ pair product, and that embed a congruence pair into a wreath product
 over the quotient.
 """
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -21,6 +21,7 @@ from .core import TooLarge
 SEARCH_CAP = 200_000
 FORWARD_HULL_BOUND = 20
 PROP_EXTRAS_CAP = 10
+_SBAR = weakref.WeakKeyDictionary()     # hull -> {chosen: _sbar(hull, chosen)}, dies with the hull
 
 
 class NotSplit(Exception):
@@ -57,11 +58,16 @@ def check_B1(tr):
     return True, None
 
 
-@lru_cache(maxsize=None)
 def _sbar(he, img):
-    """Members generated by the inner pairs plus the chosen ones."""
-    seeds = set(int(i) for i in he.pi_member) | set(img)
-    return frozenset(core.generated_subsemigroup(he.sg, seeds).members)
+    """Members generated by the inner pairs plus the chosen ones, memoised per hull."""
+    memo = _SBAR.setdefault(he, {})
+    if img not in memo:
+        seeds = set(int(i) for i in he.pi_member) | set(img)
+        memo[img] = frozenset(core.generated_subsemigroup(he.sg, seeds).members)
+    return memo[img]
+
+
+_sbar.cache_clear = _SBAR.clear     # as on an lru_cache: bench/run.py clears it between passes
 
 
 def sbar_members(tr):

@@ -88,8 +88,15 @@ def _dumps(x, pad="\n"):
     """json.dumps(x, indent=2, sort_keys=True), byte for byte, for x with
     string keys, nested at the indent `pad`.  A flat list of ints is one
     str.join, where the stdlib's indenting encoder, in pure Python, makes
-    calls per item."""
+    calls per item.  A non-negative signed integer array, 1-D or 2-D, is
+    formatted by looking its values up in one array of their decimal strings."""
     inner = pad + "  "
+    if (isinstance(x, np.ndarray) and x.dtype.kind == "i" and x.ndim in (1, 2) and x.size
+            and x.min() >= 0):
+        cells = np.array([str(i) for i in range(x.max() + 1)], dtype=object)[x].tolist()
+        if x.ndim == 2:
+            cells = [f"[{inner}  " + f",{inner}  ".join(row) + f"{inner}]" for row in cells]
+        return f"[{inner}{(',' + inner).join(cells)}{pad}]"
     if isinstance(x, (list, tuple)) and x:
         if set(map(type, x)) == {int}:
             body = ("," + inner).join(map(str, x))
@@ -161,7 +168,7 @@ def _map(data, key, where, build):
     try:
         return build(np.asarray(values, dtype=np.int64))
     except (ValueError, OverflowError, actions.NotEndomorphism, actions.NotActionHom,
-            morphisms.NotMultiplicative, congruences.NotSurjective) as exc:
+            morphisms.NotMultiplicative, congruences.NotSurjective, actions.AFRViolated) as exc:
         raise UsageError(f"{where}: {key!r} is rejected: {exc}") from None
 
 
@@ -243,9 +250,9 @@ def cmd_product(args):
     elif args.kind == "rsd":
         if not args.eps:
             raise UsageError("product rsd requires --eps")
-        eps = _map(_load_json(args.eps), "map", args.eps, partial(actions.validate_eps, K, T))
         report.digests[args.eps] = _digest(args.eps)
-        P = products.build_rsd(K, T, action, eps)
+        P = _map(_load_json(args.eps), "map", args.eps,   # also rejects a pair failing AFR
+                 lambda m: products.build_rsd(K, T, action, actions.validate_eps(K, T, m)))
     elif args.kind == "hwr":
         P = products.build_hwr(K, T)
     elif args.kind == "hwr-eta":
@@ -257,7 +264,7 @@ def cmd_product(args):
         P = products.build_hwr_eta(triple)
     else:
         P = products.build_lwr(K, T)
-    out = core.as_dict(P.sg)
+    out = core.as_dict(P.sg, array=np.asarray)
     out["elements"] = [list(p) for p in P.elements]
     out["provenance"] = {
         "construction": args.kind,

@@ -14,7 +14,8 @@ from the top of the J-order down: elements with the largest row image |aS|
 first.  In an inverse semigroup aS = aa^-1 S, and |eS| is constant on a
 D-class and strictly smaller below it, so the few maximal D-classes come
 first and generate most of the table; a wreath product of order 290 needs 7
-generators this way, against 282 in index order.
+generators this way, against 282 in index order.  The inverses are then
+found in one array pass; every check reads a uint8 or uint16 copy of the table.
 """
 
 from dataclasses import dataclass
@@ -170,8 +171,8 @@ def _assoc_witness(T):
 def validate(table, names=None):
     """Check a Cayley table and enrich it into an InverseSemigroup.
 
-    The inverse map is computed, never supplied: for each element we scan
-    for the unique x with axa = a and xax = x.
+    The inverse map is computed, never supplied: one array pass, on a uint8
+    or uint16 copy of the table, finds each a's unique x with axa = a, xax = x.
     """
     if isinstance(table, FiniteSemigroup):
         base = table
@@ -180,10 +181,10 @@ def validate(table, names=None):
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError(f"table must be a nonempty square array, got shape {arr.shape}")
         base = FiniteSemigroup(arr.shape[0], arr, tuple(names) if names is not None else None)
-    T = base.table
     n = base.order
-    if T.min() < 0 or T.max() >= n:
+    if base.table.min() < 0 or base.table.max() >= n:
         raise ValueError("table entries must lie in [0, n)")
+    T = base.table.astype(np.min_scalar_type(n - 1))
     w = _assoc_witness(T)
     if w is not None:
         raise NotAssociative(*w)
@@ -194,18 +195,17 @@ def validate(table, names=None):
     if len(bad):
         i, j = bad[0]
         raise IdempotentsDontCommute(int(idem[i]), int(idem[j]))
-    inv = np.empty(n, dtype=np.int64)
-    for a in range(n):
-        axa = T[T[a], a]
-        xax = T[T[:, a], ar]
-        cand = np.flatnonzero((axa == a) & (xax == ar))
+    # partner[a, x] iff (ax)a = a and (xa)x = x
+    partner = (T[T, ar[:, None]] == ar[:, None]) & (T[T.T, ar] == ar)
+    unique = partner.sum(axis=1) == 1
+    if not unique.all():
+        a = int(np.flatnonzero(~unique)[0])
+        cand = np.flatnonzero(partner[a])
         if len(cand) == 0:
             raise NotRegular(a)
-        if len(cand) > 1:
-            raise ValueError(f"element {a} has inverses {int(cand[0])} and {int(cand[1])}, "
-                             f"though idempotents commute")
-        inv[a] = cand[0]
-    return InverseSemigroup(base, inv, tuple(int(e) for e in idem))
+        raise ValueError(f"element {a} has inverses {int(cand[0])} and {int(cand[1])}, "
+                         f"though idempotents commute")
+    return InverseSemigroup(base, partner.argmax(axis=1), tuple(int(e) for e in idem))
 
 
 def dom(S, a):
@@ -313,12 +313,12 @@ def direct_product(S, S2):
     return validate(T, names=names)
 
 
-def as_dict(S):
-    """JSON-ready instance dict (0-based, bit-exact)."""
-    d = {"order": S.order, "table": S.table.tolist()}
+def as_dict(S, array=np.ndarray.tolist):
+    """JSON-ready instance dict (0-based, bit-exact); `array` converts table and inv."""
+    d = {"order": S.order, "table": array(S.table)}
     if S.names is not None:
         d["names"] = list(S.names)
-    d["inv"] = S.inv.tolist()
+    d["inv"] = array(S.inv)
     d["idempotents"] = list(S.idempotents)
     return d
 

@@ -410,11 +410,12 @@ def build_lwr(K, T, cap=POWER_CAP):
     inv = K.inv[D] @ w
     kid = np.zeros(nK, dtype=bool)
     kid[list(K.idempotents)] = True
-    idems = tuple(int(i) for i in np.flatnonzero(kid[D].all(axis=1)))
-    power = InverseSemigroup(FiniteSemigroup(nP, table), inv, idems)
+    idem = kid[D].all(axis=1)
+    power = InverseSemigroup(FiniteSemigroup(nP, table), inv, tuple(np.flatnonzero(idem).tolist()))
     if nP <= 300:
         checked = core.validate(table)
-        assert np.array_equal(checked.inv, inv) and checked.idempotents == idems
+        _require(checked.inv != inv, "power inverse differs from core.validate's")
+        _require(np.isin(np.arange(nP), checked.idempotents) != idem, "power idempotents differ")
     act = np.empty((nT, nP), dtype=np.int64)
     for t in range(nT):
         act[t] = D[:, T.table[:, t]] @ w
@@ -423,7 +424,8 @@ def build_lwr(K, T, cap=POWER_CAP):
     if total > cap:
         raise TooLarge("wreath order", total, cap)
     lsd = build_lsd(power, T, paction)
-    assert lsd.sg.order == total
+    if lsd.sg.order != total:
+        raise ProductInvalid("wreath order differs from the formula", (lsd.sg.order, total))
     return LambdaWreath(K, T, power, D, w, paction, lsd)
 
 

@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from invsem import billhardt as bh
+from invsem import billhardt as bh, cli
 from invsem import congruences as cg
 from invsem import core, morphisms as mo, products as pr, trhull as th
 from invsem.core import TooLarge
@@ -196,3 +199,20 @@ def test_prop39_positive_cases(catalog):
         out = bh.prop39_check(catalog[name], theta)
         assert out["plain_equivalent"] and out["split_equivalent"], name
         assert out["plain"] == (True, True), name
+
+
+def test_closure_memo_dies_with_its_hull(catalog):
+    S = catalog["b2"]
+    theta = cg.universal(S)
+    he = th.hull_of_extension(S, theta)
+    assert bh.find_transversal(S, theta, he=he) is not None
+    assert he in bh._SBAR
+    gone = weakref.ref(he)
+    del he
+    gc.collect()
+    assert gone() is None
+    # the thm-4.2 sweep leaves no hull in the memo behind it
+    before = len(bh._SBAR)
+    cli.verify("thm-4.2", max_order=4)
+    gc.collect()
+    assert len(bh._SBAR) == before

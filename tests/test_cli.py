@@ -233,6 +233,11 @@ def test_product_round_trip(tmp_path, capsys):
     assert code == 0
 
 
+def assert_stdlib_dump(path):
+    text = Path(path).read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_product_kinds(tmp_path, capsys, catalog):
     z2 = inst(tmp_path, "z2.json", catalog["z2"])
     chain2 = inst(tmp_path, "chain2.json", catalog["chain2"])
@@ -242,20 +247,43 @@ def test_product_kinds(tmp_path, capsys, catalog):
 
     code, report = cli.run(["product", "hwr", "--k", z2, "--t", chain2, "--out", out])
     assert code == 0 and report.extra["order"] == 6
+    assert_stdlib_dump(out)
 
     act = write(tmp_path, "act.json", {"act": [[0, 1, 2], [0, 2, 1]]})
     eps = write(tmp_path, "eps.json", {"map": [0, 0, 0]})
     code, report = cli.run(["product", "rsd", "--k", z3, "--t", z2,
                             "--action", act, "--eps", eps, "--out", out])
     assert code == 0 and report.extra["order"] == 6
+    assert_stdlib_dump(out)
+
+    code, report = cli.run(["product", "lsd", "--k", z3, "--t", z2, "--action", act, "--out", out])
+    assert code == 0 and report.extra["order"] == 6
+    assert_stdlib_dump(out)
 
     eta = write(tmp_path, "eta.json", {"map": [0, 1, 0, 1]})
     code, report = cli.run(["product", "hwr-eta", "--k", cf, "--t", chain2,
                             "--eta", eta, "--out", out])
     assert code == 0 and report.extra["order"] == 6
+    assert_stdlib_dump(out)
 
     code, report = cli.run(["product", "lwr", "--k", z2, "--t", chain2, "--out", out])
     assert code == 0 and report.extra["order"] == 6
+    assert_stdlib_dump(out)
+
+
+def test_afr_failure_is_usage_error(tmp_path, capsys, catalog):
+    # each map is valid on its own, but the identity action with eps = the
+    # identity fails the fixed-range condition at (1, 0)
+    k = inst(tmp_path, "chain2.json", catalog["chain2"])
+    t = inst(tmp_path, "z2_zero.json", catalog["z2_zero"])
+    act = write(tmp_path, "act.json", {"act": [[0, 1], [0, 1], [0, 1]]})
+    eps = write(tmp_path, "eps.json", {"map": [0, 1]})
+    code, report = cli.run(["product", "rsd", "--k", k, "--t", t, "--action", act, "--eps", eps])
+    assert code == 2 and report is None
+    assert f"{eps}: 'map' is rejected: fixed-range condition fails at (1, 0)" in (
+        capsys.readouterr().err)
+    code, report = cli.run(["check-afr", act, eps, "--k", k, "--t", t])
+    assert code == 1 and [c.witness for c in report.checks if not c.passed] == [(1, 0)]
 
 
 json_values = st.recursive(
@@ -277,6 +305,17 @@ def test_dumps_examples():
     for x in ([], {}, (), [[]], [{}], {"": ()}, [1, True], [2**70, -1], {"é": "ü\n"},
               [1.5, float("nan"), float("-inf")], {"b": [{"a": [0]}], "a": None}):
         assert cli._dumps(x) == json.dumps(x, indent=2, sort_keys=True), x
+
+
+@pytest.mark.parametrize("x", [np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.int64),
+                               np.array([3, 0, 256, 1000, 255]),
+                               np.arange(12).reshape(3, 4) * 300,
+                               np.array([[1, 0], [0, 1], [5, 2]])])
+def test_dumps_of_integer_arrays_matches_the_stdlib(x):
+    assert x.dtype == np.int64
+    assert cli._dumps(x) == json.dumps(x.tolist(), indent=2, sort_keys=True)
+    nested = {"a": [x.tolist()], "t": x.tolist()}
+    assert cli._dumps({"a": [x], "t": x}) == json.dumps(nested, indent=2, sort_keys=True)
 
 
 def test_product_file_is_the_stdlib_indented_dump(tmp_path, capsys, catalog):

@@ -3,12 +3,13 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invsem import core, partial_bijections as pb, products
+from invsem import core, fixtures, partial_bijections as pb, products
 from invsem.core import (IdempotentsDontCommute, NotAssociative, NotRegular,
                          direct_product, dom, generated_subsemigroup,
                          natural_leq, principal_left_ideal, ran, validate)
@@ -111,6 +112,108 @@ def test_validate_memory_stays_small(catalog):
         tracemalloc.stop()
     # a check in blocks of 2^24 cells would hold two int64 blocks, about 268 MB
     assert peak < 16 * 2**20
+
+
+def validate_by_loop(table):
+    """validate as it was before its array pass, kept as the oracle: every
+    check on the int64 table, then, for each a in order, a scan for the unique
+    x with axa = a and xax = x.  Returns (inv, idempotents)."""
+    T = np.asarray(table, dtype=np.int64)
+    w = core._assoc_witness(T)
+    if w is not None:
+        raise NotAssociative(*w)
+    ar = np.arange(len(T))
+    idem = np.flatnonzero(T[ar, ar] == ar)
+    bad = np.argwhere(T[np.ix_(idem, idem)] != T[np.ix_(idem, idem)].T)
+    if len(bad):
+        raise IdempotentsDontCommute(int(idem[bad[0][0]]), int(idem[bad[0][1]]))
+    inv = np.empty(len(T), dtype=np.int64)
+    for a in range(len(T)):
+        cand = np.flatnonzero((T[T[a], a] == a) & (T[T[:, a], ar] == ar))
+        if len(cand) == 0:
+            raise NotRegular(a)
+        if len(cand) > 1:
+            raise ValueError(f"element {a} has inverses {int(cand[0])} and {int(cand[1])}, "
+                             f"though idempotents commute")
+        inv[a] = cand[0]
+    return inv, tuple(int(e) for e in idem)
+
+
+def outcome(validator, table):
+    """(inv, idempotents), or the exception's type, message and witness."""
+    try:
+        result = validator(table)
+    except (NotAssociative, NotRegular, IdempotentsDontCommute, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    if isinstance(result, core.InverseSemigroup):
+        assert result.table.dtype == result.inv.dtype == np.int64
+        result = (result.inv, result.idempotents)
+    return result[0].tolist(), result[1]
+
+
+def with_nilpotent(table):
+    """The table with a zero n and an element n + 1 appended, where every
+    product with n or n + 1 is n: still associative with commuting
+    idempotents, and n + 1, the last element, has no inverse."""
+    n = len(table)
+    out = np.full((n + 2, n + 2), n, dtype=np.int64)
+    out[:n, :n] = table
+    return out
+
+
+def test_inverse_pass_matches_the_loop(catalog):
+    wreaths = [products.build_hwr(catalog[k], catalog[t]).sg.table
+               for k, t in (("chain2", "i2"), ("b2", "chain4"))]
+    assert [len(T) for T in wreaths] == [290, 780]
+    for T in [S.table for S in catalog.values()] + wreaths:
+        expected = outcome(validate_by_loop, T)
+        assert outcome(validate, T) == expected
+        for bad in (corrupted(T), with_nilpotent(T)):
+            assert outcome(validate, bad) == outcome(validate_by_loop, bad)
+        assert outcome(validate, with_nilpotent(T))[:2] == (
+            NotRegular, f"element {len(T) + 1} has no inverse partner")
+
+
+def test_two_inverses_are_reported_as_the_loop_did():
+    # unreachable on an associative table whose idempotents commute, so the
+    # associativity check is switched off: element 2 has the inverses 1 and 2
+    T = [[0, 0, 0], [0, 0, 2], [0, 1, 1]]
+    with mock.patch.object(core, "_assoc_witness", lambda T: None):
+        assert outcome(validate, T) == outcome(validate_by_loop, T) == (
+            ValueError, "element 2 has inverses 1 and 2, though idempotents commute", None)
+
+
+@given(tables_upto_5)
+@settings(max_examples=400, deadline=None)
+def test_inverse_pass_matches_the_loop_on_random_magmas(table):
+    # without the associativity check, so that every later verdict is reached
+    with mock.patch.object(core, "_assoc_witness", lambda T: None):
+        assert outcome(validate, table) == outcome(validate_by_loop, table)
+
+
+@pytest.mark.parametrize("n, narrow", [(1, np.uint8), (255, np.uint8), (256, np.uint8),
+                                       (257, np.uint16)])
+def test_chains_across_the_narrow_dtype_boundary(n, narrow):
+    assert np.min_scalar_type(n - 1) == narrow
+    T = np.array(fixtures._min_table(n))
+    S = validate(T)
+    assert S.table.dtype == S.inv.dtype == np.int64
+    assert S.inv.tolist() == list(range(n)) and S.idempotents == tuple(range(n))
+    assert outcome(validate, T) == outcome(validate_by_loop, T)
+    for bad in (corrupted(T), with_nilpotent(T)):
+        assert outcome(validate, bad) == outcome(validate_by_loop, bad)
+
+
+def test_validate_of_the_order_780_wreath_stays_under_6_MiB(catalog):
+    T = products.build_hwr(catalog["b2"], catalog["chain4"]).sg.table
+    tracemalloc.start()
+    try:
+        validate(T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the int64 checks peaked at 9.9 MiB
+    assert peak < 6 * 2**20
 
 
 def test_validate_rejects_missing_inverse():

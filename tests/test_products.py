@@ -193,13 +193,15 @@ def test_eta_wreath_labels(catalog):
 
 _OUTSIDE_FIBERS = """
 import numpy as np
-from invsem import actions, fixtures, products
+from invsem import actions, core, fixtures, products
 cat = fixtures.catalog()
 z2, trivial = cat["z2"], cat["trivial"]
+fake = core.InverseSemigroup(z2.base, np.array([0, 0]), z2.idempotents)
 for build in (lambda: products.build_pkt(z2, trivial, [np.array([1])]),
               lambda: products._build_pair_product(
                   z2, trivial, actions.validate_action(trivial, z2, [[0, 1]]),
-                  ((1, 0),), restricted=False)):
+                  ((1, 0),), restricted=False),
+              lambda: products.build_lwr(fake, trivial)):
     try:
         build()
     except products.ProductInvalid as exc:
@@ -217,10 +219,16 @@ def test_verdicts_survive_python_O(catalog):
         pr._build_pair_product(z2, trivial, ac.validate_action(trivial, z2, [[0, 1]]),
                                ((1, 0),), restricted=False)
     assert e2.value.witness == ((1, 0), (1, 0))
+    # Z2 built by hand with the inverse of g given as 1: the power's inverse
+    # map disagrees with core.validate's at g
+    fake = core.InverseSemigroup(z2.base, np.array([0, 0]), z2.idempotents)
+    with pytest.raises(pr.ProductInvalid, match="power inverse differs") as e3:
+        pr.build_lwr(fake, trivial)
+    assert e3.value.witness == (1,)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-O", "-c", _OUTSIDE_FIBERS], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out == "".join(f"{e.value.witness} {e.value}\n" for e in (e1, e2))
+    assert out == "".join(f"{e.value.witness} {e.value}\n" for e in (e1, e2, e3))
 
 
 def test_reduce_first_factor(catalog):
