@@ -6,6 +6,7 @@ Everything downstream of the restricted pair product relies on it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from .core import InverseSemigroup, TooLarge
 
 ENDO_BOUND = 7
 NAIVE_ACTION_BOUND = 400_000
+BLOCK_CELLS = 1 << 22       # cells compared at once by the law checks
 
 
 class NotEndomorphism(Exception):
@@ -34,11 +36,25 @@ class AFRViolated(Exception):
         super().__init__(f"fixed-range condition fails at {witness}")
 
 
+class LawViolated(Exception):
+    """A structure map or an induced action broke its law; the witness says where."""
+
+    def __init__(self, reason, witness):
+        self.reason = reason
+        self.witness = witness
+        super().__init__(f"{reason} at {witness}")
+
+
 @dataclass(frozen=True, eq=False)
 class EndoAction:
     T: InverseSemigroup
     K: InverseSemigroup
     act: np.ndarray             # act[t, a] = t.a
+
+    @cached_property
+    def fixed(self):
+        """fixed[i, a]: the i-th idempotent of T fixes a."""
+        return self.act[list(self.T.idempotents)] == np.arange(self.K.order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,6 +63,48 @@ class EpsilonMap:
     T: InverseSemigroup
     map: np.ndarray             # K index -> idempotent of T
 
+    @cached_property
+    def below(self):
+        """below[a, i]: eps(a) <= the i-th idempotent of T."""
+        return self.T.leq[np.ix_(self.map, list(self.T.idempotents))]
+
+
+def _check_laws(T, K, stack):
+    """Raise at the first table of the stack (m, |T|, |K|) that is not an action.
+
+    Within a table the endomorphism law t.(ab) = (t.a)(t.b) comes before the
+    action law (tu).a = t.(u.a); each raises with its least witness.
+    """
+    m, nT, nK = stack.shape
+    Kt = K.table
+    rows = stack.reshape(m * nT, nK)
+    endo, first = None, m       # the endomorphism failure and its table
+    step = max(1, BLOCK_CELLS // max(1, nK * nK))
+    for r0 in range(0, len(rows), step):
+        blk = rows[r0:r0 + step]
+        bad = blk[:, Kt] != Kt[blk[:, :, None], blk[:, None, :]]
+        if bad.any():
+            r, a, b = np.argwhere(bad)[0]
+            first, t = divmod(r0 + int(r), nT)
+            endo = NotEndomorphism(t, int(a), int(b))
+            break
+    step = max(1, BLOCK_CELLS // max(1, nT * nT * nK))
+    for s0 in range(0, first, step):
+        blk = stack[s0:min(s0 + step, first)]
+        at = np.arange(len(blk))[:, None, None, None]
+        # bad[s, t, u, a]: (tu).a differs from t.(u.a) in table s0 + s
+        bad = blk[:, T.table] != blk[at, np.arange(nT)[:, None, None], blk[:, None]]
+        if bad.any():
+            _, t, u, a = np.argwhere(bad)[0]
+            raise NotActionHom(int(t), int(u), int(a))
+    if endo is not None:
+        raise endo
+
+
+def _actions(T, K, stack):
+    _check_laws(T, K, stack)
+    return [EndoAction(T, K, act) for act in stack]
+
 
 def validate_action(T, K, act):
     act = np.asarray(act, dtype=np.int64)
@@ -54,21 +112,7 @@ def validate_action(T, K, act):
         raise ValueError(f"action must be |T| x |K| = {T.order} x {K.order}")
     if len(act.ravel()) and (act.min() < 0 or act.max() >= K.order):
         raise ValueError("action values out of range")
-    Kt = K.table
-    step = max(1, (1 << 22) // max(1, K.order * K.order))
-    for t0 in range(0, T.order, step):
-        blk = act[t0:t0 + step]
-        lhs = blk[:, Kt]
-        rhs = Kt[blk[:, :, None], blk[:, None, :]]
-        if not np.array_equal(lhs, rhs):
-            t, a, b = np.argwhere(lhs != rhs)[0]
-            raise NotEndomorphism(int(t) + t0, int(a), int(b))
-    lhs = act[T.table]
-    rhs = act[:, act]
-    if not np.array_equal(lhs, rhs):
-        t, u, a = np.argwhere(lhs != rhs)[0]
-        raise NotActionHom(int(t), int(u), int(a))
-    return EndoAction(T, K, act)
+    return _actions(T, K, act[None])[0]
 
 
 def validate_eps(K, T, values):
@@ -93,15 +137,12 @@ def check_AFR(action, eps):
 
     Returns (True, None) or (False, (a, e)) with the least witness.
     """
-    T, K, A = action.T, action.K, action.act
-    idems = list(T.idempotents)
-    fixed = A[np.array(idems)] == np.arange(K.order)[None, :]   # [i, a]: e_i.a = a
-    below = T.leq[np.ix_(eps.map, np.array(idems))]             # [a, i]: eps(a) <= e_i
-    for a in range(K.order):
-        for i, e in enumerate(idems):
-            if bool(fixed[i, a]) != bool(below[a, i]):
-                return False, (a, int(e))
-    return True, None
+    bad = action.fixed.T != eps.below
+    k = int(bad.argmax())
+    if not bad.flat[k]:
+        return True, None
+    a, i = divmod(k, bad.shape[1])
+    return False, (a, int(action.T.idempotents[i]))
 
 
 def check_AE7_AE8(action, eps):
@@ -125,7 +166,8 @@ def check_modified(action, decomp):
     T, K, A = action.T, action.K, action.act
     eta = decomp.eta
     embed = decomp.embed
-    assert embed is not None, "decomposition must embed its semilattice into T"
+    if embed is None:
+        raise ValueError("decomposition must embed its semilattice into T")
     e_of = embed[eta.map]               # K element -> its class idempotent in T
     n = K.order
     for a in range(n):
@@ -163,12 +205,18 @@ def strong_semilattice(action, eps):
             if not T.leq[f, e]:
                 continue
             img = A[f, classes[e]]
-            assert (eps.map[img] == f).all()
+            out = eps.map[img] != f
+            if out.any():
+                raise LawViolated("structure map leaves its fiber",
+                                  (e, f, int(classes[e][out.argmax()])))
             maps[(e, f)] = img
     pos = {e: {int(a): i for i, a in enumerate(classes[e])} for e in idems}
     # identity on each fiber
     for e in idems:
-        assert np.array_equal(maps[(e, e)], classes[e])
+        moved = maps[(e, e)] != classes[e]
+        if moved.any():
+            raise LawViolated("structure map of a fiber to itself moves an element",
+                              (e, int(classes[e][moved.argmax()])))
     # transitivity down chains
     for e in idems:
         for f in idems:
@@ -178,7 +226,10 @@ def strong_semilattice(action, eps):
                 if not T.leq[g, f]:
                     continue
                 step = np.array([maps[(f, g)][pos[f][int(x)]] for x in maps[(e, f)]])
-                assert np.array_equal(step, maps[(e, g)])
+                differ = step != maps[(e, g)]
+                if differ.any():
+                    raise LawViolated("structure maps do not compose down a chain",
+                                      (e, f, g, int(classes[e][differ.argmax()])))
     # products factor through the meet fiber
     for e in idems:
         for f in idems:
@@ -186,7 +237,9 @@ def strong_semilattice(action, eps):
             for i, a in enumerate(classes[e]):
                 for j, b in enumerate(classes[f]):
                     glued = K.table[maps[(e, ef)][i], maps[(f, ef)][j]]
-                    assert glued == K.table[a, b]
+                    if glued != K.table[a, b]:
+                        raise LawViolated("product does not factor through the meet fiber",
+                                          (int(a), int(b)))
     return StrongSemilattice(K, eps, classes, maps)
 
 
@@ -234,7 +287,8 @@ def induced_kernel_action(P):
     for t in range(T.order):
         for j, (a, e) in enumerate(pairs):
             target = (int(P.action.act[t, a]), int(T.rans[T.table[t, e]]))
-            assert target in pos, "kernel is not closed under the induced action"
+            if target not in pos:
+                raise LawViolated("kernel is not closed under the induced action", (t, (a, e)))
             act[t, j] = pos[target]
     action = validate_action(T, Ksub, act)
     eps = validate_eps(Ksub, T, np.array([e for (_, e) in pairs], dtype=np.int64))
@@ -271,7 +325,7 @@ def enumerate_actions(T, K):
     gens = core.product_generators(T.table)
     order = gens + [t for t in range(T.order) if t not in gens]
     found = morphisms.search_homomorphisms(T.table, comp, [range(len(endos))] * T.order, order)
-    return [validate_action(T, K, endos[m]) for m in found]
+    return _actions(T, K, endos[np.array(list(found), dtype=np.int64).reshape(-1, T.order)])
 
 
 def enumerate_actions_naive(T, K, bound=NAIVE_ACTION_BOUND):
@@ -294,8 +348,7 @@ def enumerate_actions_naive(T, K, bound=NAIVE_ACTION_BOUND):
         t_idx = np.arange(m)[None, :, None, None]
         rhs = M[b_idx, t_idx, M[:, None, :, :]]   # rhs[i,t,u,a] = t.(u.a)
         lhs = M[:, T.table, :]                    # lhs[i,t,u,a] = (tu).a
-        M = M[(lhs == rhs).all(axis=(1, 2, 3))]
-        out.extend(validate_action(T, K, a) for a in M)
+        out.extend(_actions(T, K, M[(lhs == rhs).all(axis=(1, 2, 3))]))
     return out
 
 

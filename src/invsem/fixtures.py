@@ -72,8 +72,11 @@ def afr_sweep(max_order):
     """(k_name, t_name, action, eps) for every pair passing check_AFR."""
     cat = catalog()
     out = []
+    eps_of = {}             # (k_name, t_name) -> its eps maps, enumerated once
     for kname, tname, act in action_sweep(max_order):
-        for eps in actions.enumerate_surjective_eps(cat[kname], cat[tname]):
+        if (kname, tname) not in eps_of:
+            eps_of[kname, tname] = actions.enumerate_surjective_eps(cat[kname], cat[tname])
+        for eps in eps_of[kname, tname]:
             if actions.check_AFR(act, eps)[0]:
                 out.append((kname, tname, act, eps))
     return tuple(out)
@@ -122,11 +125,12 @@ def rsd_fixtures():
     out = []
     for kname, tname in _PRODUCT_PAIRS:
         K, T = cat[kname], cat[tname]
+        epss = actions.enumerate_surjective_eps(K, T)
         taken = 0
         for i, act in enumerate(actions.enumerate_actions(T, K)):
             if taken >= _PER_PAIR:
                 break
-            for j, eps in enumerate(actions.enumerate_surjective_eps(K, T)):
+            for j, eps in enumerate(epss):
                 if taken >= _PER_PAIR:
                     break
                 if not actions.check_AFR(act, eps)[0]:

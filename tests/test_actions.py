@@ -1,13 +1,20 @@
-from itertools import product
+import hashlib
+import os
+import subprocess
+import sys
+from collections import Counter
+from itertools import groupby, product
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from invsem import actions as ac
-from invsem import core, morphisms
+from invsem import core, fixtures, morphisms
 from invsem.cli import _eps_decomposition
 from invsem.core import TooLarge
-from invsem.fixtures import afr_sweep
+from invsem.fixtures import action_sweep, afr_sweep
 
 
 ENDO_COUNTS = {
@@ -54,6 +61,185 @@ def test_validate_action_rejections(catalog):
         ac.validate_action(z2, z3, [[0, 0, 0]])
     with pytest.raises(ValueError):
         ac.validate_action(z2, z3, [[0, 0, 9], [0, 1, 2]])
+
+
+def validate_by_loop(T, K, act):
+    """The per-action law check that the stack checker replaced, kept as its oracle."""
+    act = np.asarray(act, dtype=np.int64)
+    Kt = K.table
+    step = max(1, (1 << 22) // max(1, K.order * K.order))
+    for t0 in range(0, T.order, step):
+        blk = act[t0:t0 + step]
+        lhs = blk[:, Kt]
+        rhs = Kt[blk[:, :, None], blk[:, None, :]]
+        if not np.array_equal(lhs, rhs):
+            t, a, b = np.argwhere(lhs != rhs)[0]
+            raise ac.NotEndomorphism(int(t) + t0, int(a), int(b))
+    lhs = act[T.table]
+    rhs = act[:, act]
+    if not np.array_equal(lhs, rhs):
+        t, u, a = np.argwhere(lhs != rhs)[0]
+        raise ac.NotActionHom(int(t), int(u), int(a))
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except (ac.NotEndomorphism, ac.NotActionHom) as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+def _stack_outcome(T, K, tables):
+    return _outcome(ac._check_laws, T, K, np.array(tables, dtype=np.int64))
+
+
+def _loop_outcome(T, K, tables):
+    for table in tables:
+        got = _outcome(validate_by_loop, T, K, table)
+        if got is not None:
+            return got
+    return None
+
+
+def _pairs_of_sweep():
+    """(K, T, [action tables]) for each of the 100 catalog pairs of order <= 4."""
+    cat = fixtures.catalog()
+    for (kn, tn), group in groupby(action_sweep(4), key=lambda x: x[:2]):
+        yield cat[kn], cat[tn], [a.act for _, _, a in group]
+
+
+def _corruptions(T, K, endos, act):
+    """The first one-cell change of act, in (t, a, value) order, whose row is not
+    in endos (the endomorphisms of K, as bytes), and the first whose row is in
+    endos but whose table is not an action; None where there is none."""
+    breaks_endo = breaks_action = None
+    for t, a, v in product(range(T.order), range(K.order), range(K.order)):
+        if v == act[t, a]:
+            continue
+        bad = act.copy()
+        bad[t, a] = v
+        if bad[t].tobytes() not in endos:
+            breaks_endo = bad if breaks_endo is None else breaks_endo
+        elif breaks_action is None and _loop_outcome(T, K, [bad]) is not None:
+            breaks_action = bad
+        if breaks_endo is not None and breaks_action is not None:
+            break
+    return breaks_endo, breaks_action
+
+
+def test_stack_checker_matches_loop():
+    """On every action of the sweep, and on each with one corrupted cell, the
+    stack checker raises what the per-action loop raised, or nothing."""
+    pairs = seen_endo = seen_action = 0
+    for K, T, tables in _pairs_of_sweep():
+        pairs += 1
+        assert _stack_outcome(T, K, tables) is None
+        found = [ac.validate_action(T, K, a).act for a in tables]
+        assert all(np.array_equal(x, y) for x, y in zip(found, tables))
+        endos = {e.tobytes() for e in ac.enumerate_endomorphisms(K)}
+        for i, act in enumerate(tables):
+            for bad in _corruptions(T, K, endos, act):
+                if bad is None:
+                    continue
+                expect = _loop_outcome(T, K, [bad])
+                assert _outcome(ac.validate_action, T, K, bad) == expect
+                # between its valid neighbours, and last in the pair's whole stack
+                window = tables[max(0, i - 1):i] + [bad] + tables[i + 1:i + 2]
+                assert _stack_outcome(T, K, window) == expect
+                if i == len(tables) - 1:
+                    assert _stack_outcome(T, K, tables[:i] + [bad]) == expect
+                seen_endo += expect is not None and expect[0] is ac.NotEndomorphism
+                seen_action += expect is not None and expect[0] is ac.NotActionHom
+    assert pairs == 100
+    # 20 actions (10 of them on the trivial K) have no one-cell change that
+    # breaks the endomorphism law, and 342 none that breaks only the action law
+    assert (seen_endo, seen_action) == (4145, 3823)
+
+
+def test_stack_checker_reports_the_first_bad_table(catalog):
+    # an earlier table that breaks only the action law wins over a later
+    # table that breaks the endomorphism law, and the other way round
+    z2, z3 = catalog["z2"], catalog["z3"]
+    not_action = [[0, 0, 0], [0, 1, 2]]        # (1g).g = g, but 1.(g.g) = 1.g = 1
+    not_endo = [[0, 1, 2], [0, 1, 1]]          # g.(g g) = g.g2 = g, but (g.g)(g.g) = g2
+    valid = [[0, 1, 2], [0, 2, 1]]
+    for tables in ([valid, not_action, not_endo], [valid, not_endo, not_action],
+                   [not_action, not_endo], [not_endo, not_action]):
+        got = _stack_outcome(z2, z3, tables)
+        assert got is not None and got == _loop_outcome(z2, z3, tables)
+    assert _stack_outcome(z2, z3, [valid, not_action, not_endo])[0] is ac.NotActionHom
+    assert _stack_outcome(z2, z3, [valid, not_endo, not_action])[0] is ac.NotEndomorphism
+    assert _stack_outcome(z2, z3, np.empty((0, 2, 3))) is None
+
+
+def test_stack_checker_blocks(catalog, monkeypatch):
+    # with one or a few rows and tables per block, the witnesses are unchanged
+    z2, z3 = catalog["z2"], catalog["z3"]
+    tables = [[[0, 1, 2], [0, 2, 1]], [[0, 0, 0], [0, 1, 2]], [[0, 1, 2], [0, 1, 1]]]
+    expect = _loop_outcome(z2, z3, tables)
+    for cells in (1, 18, 27, 36):
+        monkeypatch.setattr(ac, "BLOCK_CELLS", cells)
+        assert _stack_outcome(z2, z3, tables) == expect
+        assert _stack_outcome(z2, z3, tables[::-1]) == _loop_outcome(z2, z3, tables[::-1])
+
+
+def test_action_sweep_pinned():
+    # 4,165 tables in enumeration order, as before the stack checker
+    h = hashlib.sha256()
+    for kn, tn, a in action_sweep(4):
+        h.update(f"{kn}|{tn}|".encode())
+        h.update(a.act.tobytes())
+    assert len(action_sweep(4)) == 4165
+    assert h.hexdigest() == "c6067bff29197f75c89653371f7524a1a13d49372b2a72d6f385b754818346fb"
+
+
+def check_AFR_by_loop(action, eps):
+    """The double loop that check_AFR replaced, kept as its oracle."""
+    T, K, A = action.T, action.K, action.act
+    idems = list(T.idempotents)
+    fixed = A[np.array(idems)] == np.arange(K.order)[None, :]
+    below = T.leq[np.ix_(eps.map, np.array(idems))]
+    for a in range(K.order):
+        for i, e in enumerate(idems):
+            if bool(fixed[i, a]) != bool(below[a, i]):
+                return False, (a, int(e))
+    return True, None
+
+
+def test_check_AFR_matches_loop():
+    n = failed = 0
+    for K, T, tables in _pairs_of_sweep():
+        epss = ac.enumerate_surjective_eps(K, T)
+        for table in tables:
+            action = ac.EndoAction(T, K, table)
+            for eps in epss:
+                got = ac.check_AFR(action, eps)
+                assert got == check_AFR_by_loop(action, eps)
+                assert all(type(x) is int for x in got[1] or ())
+                n += 1
+                failed += not got[0]
+    assert n == 4532 and 0 < failed < n
+
+
+def test_eps_enumerated_once_per_pair(monkeypatch):
+    calls = Counter()
+    enumerate_eps = ac.enumerate_surjective_eps
+
+    def counted(K, T):
+        calls[K, T] += 1
+        return enumerate_eps(K, T)
+
+    monkeypatch.setattr(ac, "enumerate_surjective_eps", counted)
+    again = fixtures.afr_sweep.__wrapped__(4)
+    names = fixtures.sweep_names(4)
+    assert len(calls) == len(names) ** 2 and set(calls.values()) == {1}
+    key = [(kn, tn, a.act.tobytes(), e.map.tobytes()) for kn, tn, a, e in afr_sweep(4)]
+    assert [(kn, tn, a.act.tobytes(), e.map.tobytes()) for kn, tn, a, e in again] == key
+    calls.clear()
+    labels = [label for label, _ in fixtures.rsd_fixtures.__wrapped__()]
+    assert labels == RSD_LABELS
+    assert len(calls) == len(fixtures._PRODUCT_PAIRS) and set(calls.values()) == {1}
 
 
 ACTION_COUNTS = {
@@ -189,6 +375,44 @@ def test_strong_semilattice_needs_axiom(catalog):
     assert bad is not None
     with pytest.raises(ac.AFRViolated):
         ac.strong_semilattice(bad, eps)
+
+
+_LEAVES_FIBER = """
+import numpy as np
+from invsem import actions, fixtures
+cat = fixtures.catalog()
+chain2, chain3 = cat["chain2"], cat["chain3"]
+eps = actions.validate_eps(chain3, chain2, [0, 1, 1])
+bad = actions.EndoAction(chain2, chain3, np.array([[0, 2, 1], [0, 1, 2]]))
+try:
+    actions.strong_semilattice(bad, eps)
+except actions.LawViolated as exc:
+    print(exc.witness, exc)
+"""
+
+
+def test_gluing_laws_survive_python_O(catalog):
+    chain2, chain3 = catalog["chain2"], catalog["chain3"]
+    eps = ac.validate_eps(chain3, chain2, [0, 1, 1])
+    # not an action (0.(1*2) = 0.1 = 2, but (0.1)*(0.2) = 2*1 = 1), yet it passes
+    # the fixed-range condition; 0 maps 1 into the fiber over 1, not over 0
+    bad = ac.EndoAction(chain2, chain3, np.array([[0, 2, 1], [0, 1, 2]]))
+    assert ac.check_AFR(bad, eps) == (True, None)
+    with pytest.raises(ac.LawViolated, match="structure map leaves its fiber") as e:
+        ac.strong_semilattice(bad, eps)
+    assert e.value.witness == (1, 0, 1)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", _LEAVES_FIBER], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == f"{e.value.witness} {e.value}\n"
+
+
+def test_check_modified_needs_embedding(catalog):
+    action = ac.enumerate_actions(catalog["chain2"], catalog["chain2"])[0]
+    eps = ac.enumerate_surjective_eps(catalog["chain2"], catalog["chain2"])[0]
+    decomp = _eps_decomposition(eps)
+    with pytest.raises(ValueError, match="must embed its semilattice"):
+        ac.check_modified(action, SimpleNamespace(eta=decomp.eta, embed=None))
 
 
 def test_induced_kernel_action(rsd_fixtures):
