@@ -304,11 +304,11 @@ def _mixed_radix(idx, width, base):
     return digits
 
 
-def enumerate_endomorphisms(K, bound=ENDO_BOUND):
+def enumerate_endomorphisms(K):
     """All product-preserving self-maps, in lexicographic order."""
     n = K.order
-    if n > bound:
-        raise TooLarge("endomorphism enumeration", n, bound)
+    if n > ENDO_BOUND:
+        raise TooLarge("endomorphism enumeration", n, ENDO_BOUND)
     return np.array(list(morphisms.search_homomorphisms(K.table, K.table, [range(n)] * n)))
 
 
@@ -328,12 +328,12 @@ def enumerate_actions(T, K):
     return _actions(T, K, endos[np.array(list(found), dtype=np.int64).reshape(-1, T.order)])
 
 
-def enumerate_actions_naive(T, K, bound=NAIVE_ACTION_BOUND):
+def enumerate_actions_naive(T, K):
     """Filter every |T| x |K| table; the dumb oracle for the clever one."""
     m, n = T.order, K.order
     total = n ** (m * n)
-    if total > bound:
-        raise TooLarge("naive action enumeration", total, bound)
+    if total > NAIVE_ACTION_BOUND:
+        raise TooLarge("naive action enumeration", total, NAIVE_ACTION_BOUND)
     Kt = K.table
     out = []
     step = max(1, (1 << 21) // max(1, m * n * n))

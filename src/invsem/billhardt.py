@@ -171,18 +171,17 @@ def classify_classical(tr):
     return "split-billhardt" if tr.split else "billhardt"
 
 
-def enumerate_transversals(S, theta, want_split=False, he=None,
-                           bound=trhull.HULL_BOUND, cap=SEARCH_CAP):
+def enumerate_transversals(S, theta, want_split=False, he=None):
     """All valid choices, classes in quotient order, candidates by position."""
     if he is None:
-        he = trhull.hull_of_extension(S, theta, bound=bound)
+        he = trhull.hull_of_extension(S, theta)
     Q = he.Q
     cands = [down_fiber(he, t) for t in range(Q.order)]
     total = 1
     for c in cands:
         total *= max(1, len(c))
-        if total > cap:
-            raise TooLarge("transversal search space", total, cap)
+        if total > SEARCH_CAP:
+            raise TooLarge("transversal search space", total, SEARCH_CAP)
     if want_split:
         # a split choice is a homomorphism Q -> hull members inside the fibers
         choices = morphisms.search_homomorphisms(Q.table, he.sg.table, cands)
@@ -197,9 +196,8 @@ def enumerate_transversals(S, theta, want_split=False, he=None,
         yield tr
 
 
-def find_transversal(S, theta, want_split=False, he=None,
-                     bound=trhull.HULL_BOUND, cap=SEARCH_CAP):
-    return next(enumerate_transversals(S, theta, want_split, he, bound, cap), None)
+def find_transversal(S, theta, want_split=False, he=None):
+    return next(enumerate_transversals(S, theta, want_split, he), None)
 
 
 def dominant_rep_candidates(S, theta):
@@ -228,11 +226,11 @@ def classical_billhardt_on(S, theta, want_split=False):
     return (False, None) if m is None else (True, m.tolist())
 
 
-def _subsemigroups_containing_inner(he, extras_cap=PROP_EXTRAS_CAP):
+def _subsemigroups_containing_inner(he):
     inner = frozenset(int(i) for i in he.pi_member)
     extras = sorted(set(range(he.sg.order)) - inner)
-    if len(extras) > extras_cap:
-        raise TooLarge("hull remainder", len(extras), extras_cap)
+    if len(extras) > PROP_EXTRAS_CAP:
+        raise TooLarge("hull remainder", len(extras), PROP_EXTRAS_CAP)
     seen = set()
     out = []
     for mask in range(1 << len(extras)):
@@ -245,18 +243,17 @@ def _subsemigroups_containing_inner(he, extras_cap=PROP_EXTRAS_CAP):
     return out
 
 
-def prop39_check(S, theta, he=None, bound=trhull.HULL_BOUND,
-                 extras_cap=PROP_EXTRAS_CAP):
+def prop39_check(S, theta, he=None):
     """Transversal existence matches the existence of an intermediate
     subsemigroup of the hull on which the fiber congruence has dominant
     (resp. multiplicative dominant) class representatives."""
     if he is None:
-        he = trhull.hull_of_extension(S, theta, bound=bound)
+        he = trhull.hull_of_extension(S, theta)
     out = {}
     for split in (False, True):
         lhs = find_transversal(S, theta, want_split=split, he=he) is not None
         rhs = False
-        for members in _subsemigroups_containing_inner(he, extras_cap):
+        for members in _subsemigroups_containing_inner(he):
             sub, elems = core.subsemigroup(he.sg, sorted(members))
             restricted = congruences.congruence_from_map(sub, he.down[elems])
             ok, _ = classical_billhardt_on(sub, restricted, want_split=split)
@@ -269,11 +266,12 @@ def prop39_check(S, theta, he=None, bound=trhull.HULL_BOUND,
     return out
 
 
-def theorem310_forward(P, he=None, bound=FORWARD_HULL_BOUND):
+def theorem310_forward(P, he=None):
     """The shift pairs of a restricted pair product form a split choice."""
     theta = congruences.congruence_from_map(P.sg, P.pi2.map)
     if he is None:
-        he = trhull.hull_of_extension(P.sg, theta, bound=bound)
+        he = trhull.hull_of_extension(
+            P.sg, theta, hull=trhull.enumerate_hull(P.sg, FORWARD_HULL_BOUND))
     member_pos = {int(m): i for i, m in enumerate(he.members)}
     xi = np.empty(he.Q.order, dtype=np.int64)
     # the quotient classes are labelled in first-appearance order of pi2
@@ -374,7 +372,7 @@ def recovery_identity_holds(tr, s, printed_variant=False):
     return pos == int(he.pi_member[s])
 
 
-def thm42_embedding(S, theta, tr, with_total_route=True):
+def thm42_embedding(S, theta, tr):
     """Embed the congruence pair into the fiber-compatible wreath product
     of its kernel by its quotient."""
     he = tr.he
@@ -414,33 +412,29 @@ def thm42_embedding(S, theta, tr, with_total_route=True):
     psi = morphisms.is_homomorphism(psi_vals, S, hwe.sg)
     assert psi.injective
 
-    phi = None
-    route_consistent = None
-    if with_total_route:
-        try:
-            hwr_plain = products.build_hwr(Ksub, Q)
-            lwr = products.build_lwr(Ksub, Q)
-        except TooLarge:
-            lwr = None
-        if lwr is not None:
-            phi_vals = np.empty(S.order, dtype=np.int64)
-            for s in range(S.order):
-                t = int(qmap[s])
-                u = int(Q.rans[t])
-                digits = np.empty(Q.order, dtype=np.int64)
-                for x in range(Q.order):
-                    A = int(Q.table[x, u])
-                    B = int(Q.table[x, t])
-                    digits[x] = kpos[elt_of[_transversal_conjugate(tr, A, s, B)]]
-                phi_vals[s] = lwr.index[(int(digits @ lwr.weights), t)]
-            phi = morphisms.is_homomorphism(phi_vals, S, lwr.sg)
-            assert phi.injective
-            restrict = products.Psi_remark(lwr, hwr_plain)
-            route_consistent = True
-            # the two routes must land on the same map, compared by value
-            for s in range(S.order):
-                p, t = hwr_plain.elements[restrict.map[phi.map[s]]]
-                lp, u = hwe.elements[psi.map[s]]
-                if (hwr_plain.pkt.elements[p], t) != (peta.elements[lp], u):
-                    route_consistent = False
+    try:
+        hwr_plain = products.build_hwr(Ksub, Q)
+        lwr = products.build_lwr(Ksub, Q)
+    except TooLarge:
+        return WreathEmbedding(triple, hwe, psi, f_elements, None, None)
+    phi_vals = np.empty(S.order, dtype=np.int64)
+    for s in range(S.order):
+        t = int(qmap[s])
+        u = int(Q.rans[t])
+        digits = np.empty(Q.order, dtype=np.int64)
+        for x in range(Q.order):
+            A = int(Q.table[x, u])
+            B = int(Q.table[x, t])
+            digits[x] = kpos[elt_of[_transversal_conjugate(tr, A, s, B)]]
+        phi_vals[s] = lwr.index[(int(digits @ lwr.weights), t)]
+    phi = morphisms.is_homomorphism(phi_vals, S, lwr.sg)
+    assert phi.injective
+    restrict = products.Psi_remark(lwr, hwr_plain)
+    # the two routes must land on the same map, compared by value
+    route_consistent = True
+    for s in range(S.order):
+        p, t = hwr_plain.elements[restrict.map[phi.map[s]]]
+        lp, u = hwe.elements[psi.map[s]]
+        if (hwr_plain.pkt.elements[p], t) != (peta.elements[lp], u):
+            route_consistent = False
     return WreathEmbedding(triple, hwe, psi, f_elements, phi, route_consistent)

@@ -78,9 +78,6 @@ class InverseSemigroup:
     def mul(self, a, b):
         return int(self.table[a, b])
 
-    def inv_of(self, a):
-        return int(self.inv[a])
-
     def dom(self, a):
         return int(self.table[self.inv[a], a])
 

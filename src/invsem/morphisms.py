@@ -19,6 +19,7 @@ from . import congruences, core
 from .core import InverseSemigroup, TooLarge
 
 ISO_BOUND = 12
+SOLUTION_BOUND = 64
 
 
 class NotMultiplicative(Exception):
@@ -163,11 +164,11 @@ def _iso_search(S, S2, allowed=None):
     yield from search_homomorphisms(S.table, S2.table, cand, order, injective=True)
 
 
-def isomorphism_search(S, S2, bound=ISO_BOUND):
+def isomorphism_search(S, S2):
     """First isomorphism found, as a Morphism, or None."""
     n = max(S.order, S2.order)
-    if n > bound:
-        raise TooLarge("isomorphism search", n, bound)
+    if n > ISO_BOUND:
+        raise TooLarge("isomorphism search", n, ISO_BOUND)
     m = next(_iso_search(S, S2), None)
     if m is None:
         return None
@@ -236,15 +237,15 @@ class ExtensionSolution:
         return NormalExtensionTriple(Ksub, Q, eta, eelems)
 
 
-def solves(triple, solution, bound=64):
+def solves(triple, solution):
     """Does (S, theta) realize the extension problem?  Returns (bool, witness).
 
     A yes needs isomorphisms beta: T -> S/theta and chi: K -> Ker theta
     with the class of chi(a) equal to beta(eta(a)) for every a.
     """
     K, T = triple.K, triple.T
-    if max(K.order, T.order, solution.S.order) > bound:
-        raise TooLarge("solution check", solution.S.order, bound)
+    if max(K.order, T.order, solution.S.order) > SOLUTION_BOUND:
+        raise TooLarge("solution check", solution.S.order, SOLUTION_BOUND)
     Q, qmap = solution.quotient
     if Q.order != T.order:
         return False, "quotient-order-mismatch"

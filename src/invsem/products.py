@@ -7,7 +7,8 @@ the range-restricted one keeps eps(a) = ran(t) and multiplies as
 builder checks.  One pointwise-power builder serves both partial-map
 wreaths: a map's value at x ranges over a fiber of K, all of K for hwr and
 the kernel class over ran(x) for the eta-wreath, so P_eta is built from
-kernel classes, not filtered out of the whole power.
+kernel classes, not filtered out of the whole power.  Both wreaths check
+their order against WREATH_CAP in `_wreath_over`, before any table exists.
 """
 
 import math
@@ -38,6 +39,19 @@ def _require(bad, reason, label=int):
     each of its indices."""
     if bad.any():
         raise ProductInvalid(reason, tuple(label(int(i)) for i in np.argwhere(bad)[0]))
+
+
+def _require_over(K, T, **maps):
+    """Raise ProductInvalid naming the first map over another K or T."""
+    for name, m in maps.items():
+        for side, S in (("K", K), ("T", T)):
+            if getattr(m, side) is not S:
+                raise ProductInvalid(f"{name} is over another {side}", f"{name}.{side}")
+
+
+def _require_bijective(m, what):
+    """Raise ProductInvalid at the first target element m hits other than once."""
+    _require(np.bincount(m.map, minlength=m.target.order) != 1, f"{what} is not bijective")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +114,7 @@ def _build_pair_product(K, T, action, elements, restricted):
 
 def build_lsd(K, T, action):
     """Pairs (a,t) with ran(t).a = a under the shrinking rule."""
-    assert action.K is K and action.T is T
+    _require_over(K, T, action=action)
     act = action.act
     elements = tuple((a, t) for a in range(K.order) for t in range(T.order)
                      if act[T.rans[t], a] == a)
@@ -110,7 +124,7 @@ def build_lsd(K, T, action):
 
 def build_rsd(K, T, action, eps):
     """Pairs (a,t) with eps(a) = ran(t); needs the fixed-range condition."""
-    assert action.K is K and action.T is T and eps.K is K and eps.T is T
+    _require_over(K, T, action=action, eps=eps)
     ok, w = actions.check_AFR(action, eps)
     if not ok:
         raise AFRViolated(w)
@@ -138,7 +152,9 @@ def kernel_lsd(P):
         members = tuple(P.index[(a, e)] for a in image)
         fixed = tuple(i for i, (a, t) in enumerate(P.elements)
                       if t == e and act[e, a] == a)
-        assert members == fixed
+        if members != fixed:
+            raise ProductInvalid("kernel fiber differs from the pairs e fixes",
+                                 (e, min(set(members) ^ set(fixed))))
         out[e] = members
     return out
 
@@ -159,14 +175,11 @@ def reduce_first_factor(K, T, action):
     for e in T.idempotents:
         members.update(int(x) for x in act[e])
     Ksub, kelems = core.subsemigroup(K, members)
-    pos = {int(x): i for i, x in enumerate(kelems)}
-    sub = np.empty((T.order, len(kelems)), dtype=np.int64)
-    for t in range(T.order):
-        for i, a in enumerate(kelems):
-            v = int(act[t, a])
-            assert v in pos, "image union not closed under the action"
-            sub[t, i] = pos[v]
-    return Ksub, kelems, actions.validate_action(T, Ksub, sub)
+    pos = np.full(K.order, -1, dtype=np.int64)
+    pos[kelems] = np.arange(len(kelems))
+    # (t, a) with a in the union and t.a outside it
+    _require((pos[act] < 0) & (pos >= 0), "image union not closed under the action")
+    return Ksub, kelems, actions.validate_action(T, Ksub, pos[act[:, kelems]])
 
 
 def psi_lemma21(P):
@@ -180,7 +193,7 @@ def psi_lemma21(P):
         j = pos[(a, int(T.rans[t]))]
         values[i] = rsd.index[(j, t)]
     psi = morphisms.is_homomorphism(values, P.sg, rsd.sg)
-    assert psi.bijective
+    _require_bijective(psi, "psi")
     return psi, rsd, ka
 
 
@@ -244,7 +257,7 @@ class PointwisePower:
     eps: EpsilonMap
 
 
-def build_pkt(K, T, fibers=None, cap=WREATH_CAP):
+def build_pkt(K, T, fibers=None):
     """Union over idempotents e of the maps Te -> K under pointwise product,
     where the value at x ranges over fibers[x], an ascending array of K
     elements (all of K when fibers is None).  Each block is a mixed radix
@@ -257,8 +270,8 @@ def build_pkt(K, T, fibers=None, cap=WREATH_CAP):
     radix = {e: tuple(len(fibers[x]) for x in ctx.ideals[e]) for e in gens}
     sizes = {e: math.prod(radix[e]) for e in gens}
     total = sum(sizes.values())
-    if total > cap:
-        raise TooLarge("pointwise power order", total, cap)
+    if total > WREATH_CAP:
+        raise TooLarge("pointwise power order", total, WREATH_CAP)
     # rank[x, k]: the digit of value k at point x, -1 outside its fiber
     rank = np.full((T.order, K.order), -1, dtype=np.int64)
     for x, f in enumerate(fibers):
@@ -328,43 +341,45 @@ class HoughtonWreath:
     rsd: FullRestrictedSemidirectProduct
 
 
-def wreath_order(K, T):
+def wreath_order(K, T, fibers=None):
+    """Sum over t of the number of maps on T.ran(t) with values in the
+    fibers (all of K when fibers is None)."""
     ctx = PFunContext(K, T)
-    return sum(K.order ** len(ctx.ideals[int(T.rans[t])]) for t in range(T.order))
+    size = [K.order] * T.order if fibers is None else [len(f) for f in fibers]
+    return sum(math.prod(size[x] for x in ctx.ideals[int(T.rans[t])]) for t in range(T.order))
 
 
-def build_hwr(K, T, cap=WREATH_CAP):
+def _wreath_over(K, T, fibers=None):
+    """The restricted pair product by T of the pointwise power over fibers.
+    Its carrier {(p,t): eps(p) = ran t} has wreath_order elements, which
+    are refused past WREATH_CAP before any table is built."""
+    total = wreath_order(K, T, fibers)
+    if total > WREATH_CAP:
+        raise TooLarge("wreath order", total, WREATH_CAP)
+    pkt = build_pkt(K, T, fibers)
+    rsd = build_rsd(pkt.sg, T, pkt.action, pkt.eps)
+    return HoughtonWreath(K, T, pkt, rsd.elements, rsd.index, rsd.sg, rsd.pi2, rsd)
+
+
+def build_hwr(K, T):
     """Pairs (map on T.ran(t), t), multiplied by pointwise-product-and-shift."""
-    total = wreath_order(K, T)
-    if total > cap:
-        raise TooLarge("wreath order", total, cap)
-    hw = _wreath_over(build_pkt(K, T, cap=cap))
-    elements = tuple((p, t) for p, al in enumerate(hw.pkt.elements) for t in range(T.order)
-                     if al.domain_generator == int(T.rans[t]))
-    if len(elements) != total:
-        raise ProductInvalid("carrier size differs from wreath_order", (len(elements), total))
-    if hw.elements != elements:
-        raise ProductInvalid("pair product carrier differs from the wreath carrier",
-                             min(set(hw.elements) ^ set(elements), default="order"))
-    return hw
+    return _wreath_over(K, T)
 
 
-def _wreath_over(pkt):
-    """The restricted pair product of a pointwise power by T."""
-    rsd = build_rsd(pkt.sg, pkt.T, pkt.action, pkt.eps)
-    return HoughtonWreath(pkt.K, pkt.T, pkt, rsd.elements, rsd.index, rsd.sg, rsd.pi2, rsd)
+def _eta_fibers(triple):
+    """Each x's fiber: the kernel class over ran(x)."""
+    T = triple.T
+    return [np.flatnonzero(triple.eta_in_t == T.rans[x]) for x in range(T.order)]
 
 
-def build_p_eta(triple, cap=WREATH_CAP):
+def build_p_eta(triple):
     """The pointwise power of the maps sending each x into the kernel fiber
     over ran(x): over e it is the direct product of those kernel classes."""
-    T = triple.T
-    fibers = [np.flatnonzero(triple.eta_in_t == T.rans[x]) for x in range(T.order)]
-    return build_pkt(triple.K, T, fibers, cap)
+    return build_pkt(triple.K, triple.T, _eta_fibers(triple))
 
 
-def build_hwr_eta(triple, cap=WREATH_CAP):
-    return _wreath_over(build_p_eta(triple, cap))
+def build_hwr_eta(triple):
+    return _wreath_over(triple.K, triple.T, _eta_fibers(triple))
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,31 +390,19 @@ class LambdaWreath:
     digits: np.ndarray          # power index -> value at each T element
     weights: np.ndarray
     action: EndoAction
+    elements: tuple             # (power index, t)
+    index: dict
+    sg: InverseSemigroup
+    pi2: morphisms.Morphism
     lsd: LambdaSemidirectProduct
 
-    @property
-    def sg(self):
-        return self.lsd.sg
 
-    @property
-    def elements(self):
-        return self.lsd.elements
-
-    @property
-    def index(self):
-        return self.lsd.index
-
-    @property
-    def pi2(self):
-        return self.lsd.pi2
-
-
-def build_lwr(K, T, cap=POWER_CAP):
+def build_lwr(K, T):
     """The unrestricted pair product over the full direct power of K."""
     nK, nT = K.order, T.order
     nP = nK ** nT
-    if nP > cap:
-        raise TooLarge("full power order", nP, cap)
+    if nP > POWER_CAP:
+        raise TooLarge("full power order", nP, POWER_CAP)
     D = actions._mixed_radix(np.arange(nP), nT, nK)
     w = nK ** np.arange(nT - 1, -1, -1)
     table = np.empty((nP, nP), dtype=np.int64)
@@ -421,17 +424,17 @@ def build_lwr(K, T, cap=POWER_CAP):
         act[t] = D[:, T.table[:, t]] @ w
     paction = actions.validate_action(T, power, act)
     total = wreath_order(K, T)
-    if total > cap:
-        raise TooLarge("wreath order", total, cap)
+    if total > POWER_CAP:
+        raise TooLarge("wreath order", total, POWER_CAP)
     lsd = build_lsd(power, T, paction)
     if lsd.sg.order != total:
         raise ProductInvalid("wreath order differs from the formula", (lsd.sg.order, total))
-    return LambdaWreath(K, T, power, D, w, paction, lsd)
+    return LambdaWreath(K, T, power, D, w, paction, lsd.elements, lsd.index, lsd.sg, lsd.pi2, lsd)
 
 
 def Psi_remark(lwr, hwr):
     """Restrict each total map to the ideal of ran(t); bijective morphism."""
-    assert lwr.K is hwr.K and lwr.T is hwr.T
+    _require_over(lwr.K, lwr.T, hwr=hwr)
     T = lwr.T
     ctx = hwr.pkt.ctx
     values = np.empty(len(lwr.elements), dtype=np.int64)
@@ -440,7 +443,7 @@ def Psi_remark(lwr, hwr):
         pfe = PartialFunctionElement(e, tuple(int(lwr.digits[f, x]) for x in ctx.ideals[e]))
         values[i] = hwr.index[(hwr.pkt.index[pfe], t)]
     psi = morphisms.is_homomorphism(values, lwr.sg, hwr.sg)
-    assert psi.bijective
+    _require_bijective(psi, "Psi")
     return psi
 
 
@@ -456,5 +459,5 @@ def hbar_inverse(lwr, hwr):
                           dtype=np.int64)
         values[i] = lwr.index[(int(digits @ lwr.weights), t)]
     phi = morphisms.is_homomorphism(values, hwr.sg, lwr.sg)
-    assert phi.bijective
+    _require_bijective(phi, "hbar inverse")
     return phi

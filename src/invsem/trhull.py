@@ -161,7 +161,9 @@ def _hull_from_pairs(S, pairs):
     return TranslationalHull(S, elements, index, sg, inner_of, ident)
 
 
-def enumerate_hull(S, bound=HULL_BOUND):
+def enumerate_hull(S, bound=None):
+    """All bitranslations of S; refused past bound (HULL_BOUND when None)."""
+    bound = HULL_BOUND if bound is None else bound
     if S.order > bound:
         raise TooLarge("hull enumeration", S.order, bound)
     lefts = _one_sided_translations(S.table, S.inv)
@@ -182,11 +184,11 @@ def enumerate_hull(S, bound=HULL_BOUND):
     return _hull_from_pairs(S, pairs)
 
 
-def naive_hull(S, bound=NAIVE_BOUND):
+def naive_hull(S):
     """Scan all n^n maps for both laws, then link-match; the slow oracle."""
     n = S.order
-    if n > bound:
-        raise TooLarge("naive hull enumeration", n, bound)
+    if n > NAIVE_BOUND:
+        raise TooLarge("naive hull enumeration", n, NAIVE_BOUND)
     T = S.table
     lefts, rights = [], []
     for idx in range(n ** n):
@@ -304,10 +306,10 @@ class HullOfExtension:
         return self.hull.elements[int(self.members[i])]
 
 
-def hull_of_extension(S, theta, hull=None, bound=HULL_BOUND):
+def hull_of_extension(S, theta, hull=None):
     """Restrict the hull to pairs whose induced quotient pair is inner."""
     if hull is None:
-        hull = enumerate_hull(S, bound=bound)
+        hull = enumerate_hull(S)
     Q, qmap = congruences.quotient(theta)
     inner_q = {inner(Q, q).key(): q for q in range(Q.order)}
     members = []

@@ -119,10 +119,11 @@ def test_validate_rejections(catalog):
     assert e.value.reason == "induced-pair-mismatch"
 
 
-def test_search_cap(catalog):
+def test_search_cap(catalog, monkeypatch):
     b2 = catalog["b2"]
+    monkeypatch.setattr(bh, "SEARCH_CAP", 1)
     with pytest.raises(TooLarge):
-        list(bh.enumerate_transversals(b2, cg.universal(b2), cap=1))
+        list(bh.enumerate_transversals(b2, cg.universal(b2)))
 
 
 def test_roundtrip_on_restricted_products(rsd_fixtures):

@@ -537,3 +537,21 @@ def test_check_time_is_not_compared_and_not_in_text(capsys):
     assert checks[0] == cli.Check(checks[0].name, True)
     cli.run(["verify", "remark-4.3"])
     assert "elapsed" not in capsys.readouterr().out
+
+
+def test_eta_wreath_over_the_cap_exits_3(tmp_path, catalog):
+    # the constant eta makes P_eta all 2^12 maps Z12 -> chain2: under the
+    # pointwise-power cap, but its wreath has order 12 * 4096 (an 18 GiB table)
+    k = inst(tmp_path, "chain2.json", catalog["chain2"])
+    z12 = [[(a + b) % 12 for b in range(12)] for a in range(12)]
+    t = write(tmp_path, "z12.json", {"order": 12, "table": z12})
+    eta = write(tmp_path, "eta.json", {"map": [0, 0]})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for kind, extra in (("hwr", []), ("hwr-eta", ["--eta", eta])):
+        out = subprocess.run([sys.executable, "-m", "invsem", "product", kind, "--json",
+                              "--k", k, "--t", t, *extra], env=env, capture_output=True,
+                             text=True, preexec_fn=_limit_address_space, timeout=300)
+        assert out.returncode == 3, out.stderr[-2000:]
+        check, = json.loads(out.stdout)["checks"]
+        assert check["name"] == "within-bounds"
+        assert check["witness"] == {"what": "wreath order", "size": 49152, "bound": 20000}

@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import invsem
 from invsem import core, fixtures, partial_bijections as pb, products
 from invsem.core import (IdempotentsDontCommute, NotAssociative, NotRegular,
                          direct_product, dom, generated_subsemigroup,
@@ -379,3 +383,19 @@ def test_verdicts_survive_python_O(catalog):
     out = subprocess.run([sys.executable, "-O", "-c", _FAKE_IDEMPOTENT], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == f"{e.value}\n"
+
+
+def test_the_only_bound_parameter_is_the_hull_bound():
+    """Size bounds are module constants read where they are checked; only
+    `trhull.enumerate_hull` takes one, for `invsem trhull --bound`."""
+    found = []
+    for info in pkgutil.iter_modules(invsem.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"invsem.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ != module.__name__ or name.startswith("_"):
+                continue
+            found += [f"{info.name}.{name}({p})" for p in inspect.signature(fn).parameters
+                      if p in ("bound", "cap") or p.endswith(("_bound", "_cap"))]
+    assert found == ["trhull.enumerate_hull(bound)"]

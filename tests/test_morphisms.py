@@ -98,7 +98,7 @@ def test_induced_triple_and_solves(catalog):
     assert mo.is_homomorphism(chi, triple.K, Ksub).bijective
 
 
-def test_solves_rejections(catalog):
+def test_solves_rejections(catalog, monkeypatch):
     i2 = catalog["i2"]
     rees = cg.enumerate_congruences(i2)[1]
     triple = mo.ExtensionSolution(i2, rees).induced_triple
@@ -108,8 +108,9 @@ def test_solves_rejections(catalog):
     smaller = mo.ExtensionSolution(catalog["chain2"], cg.diagonal(catalog["chain2"]))
     ok, wit = mo.solves(triple, smaller)
     assert not ok and wit == "quotient-order-mismatch"
+    monkeypatch.setattr(mo, "SOLUTION_BOUND", 2)
     with pytest.raises(TooLarge):
-        mo.solves(triple, mo.ExtensionSolution(i2, rees), bound=2)
+        mo.solves(triple, mo.ExtensionSolution(i2, rees))
 
 
 def test_make_triple_errors(catalog):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,7 +135,8 @@ def _p_eta_by_filter(triple):
     """The route P_eta was once built by: the whole pointwise power, then
     the maps sending each x into the kernel fiber over ran(x), re-indexed."""
     T = triple.T
-    pkt = pr.build_pkt(triple.K, T, cap=ORACLE_CAP)
+    with mock.patch.object(pr, "WREATH_CAP", ORACLE_CAP):
+        pkt = pr.build_pkt(triple.K, T)
     allowed = T.rans[:, None] == triple.eta_in_t[None, :]      # [x, a]
     members = [i for i, al in enumerate(pkt.elements)
                if all(allowed[x, v] for x, v in
@@ -201,7 +203,9 @@ for build in (lambda: products.build_pkt(z2, trivial, [np.array([1])]),
               lambda: products._build_pair_product(
                   z2, trivial, actions.validate_action(trivial, z2, [[0, 1]]),
                   ((1, 0),), restricted=False),
-              lambda: products.build_lwr(fake, trivial)):
+              lambda: products.build_lwr(fake, trivial),
+              lambda: products.build_lsd(
+                  trivial, trivial, actions.validate_action(trivial, z2, [[0, 1]]))):
     try:
         build()
     except products.ProductInvalid as exc:
@@ -225,10 +229,14 @@ def test_verdicts_survive_python_O(catalog):
     with pytest.raises(pr.ProductInvalid, match="power inverse differs") as e3:
         pr.build_lwr(fake, trivial)
     assert e3.value.witness == (1,)
+    # an action on Z2 handed over as an action on the trivial semigroup
+    with pytest.raises(pr.ProductInvalid, match="action is over another K") as e4:
+        pr.build_lsd(trivial, trivial, ac.validate_action(trivial, z2, [[0, 1]]))
+    assert e4.value.witness == "action.K"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-O", "-c", _OUTSIDE_FIBERS], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out == "".join(f"{e.value.witness} {e.value}\n" for e in (e1, e2, e3))
+    assert out == "".join(f"{e.value.witness} {e.value}\n" for e in (e1, e2, e3, e4))
 
 
 def test_reduce_first_factor(catalog):
@@ -246,3 +254,17 @@ def test_size_caps(catalog):
     with pytest.raises(TooLarge) as e:
         pr.build_lwr(catalog["i2"], catalog["i2"])
     assert e.value.bound == pr.POWER_CAP
+
+
+def test_eta_wreath_shares_the_wreath_cap(catalog, monkeypatch):
+    # P_eta of the constant eta has order 2^3 = 8; the wreath over it, 3 * 8
+    triple = mo.make_triple(catalog["chain2"], catalog["z3"], [0, 0])
+    assert pr.build_p_eta(triple).sg.order == 8
+    assert pr.wreath_order(triple.K, triple.T, pr._eta_fibers(triple)) == 24
+    monkeypatch.setattr(pr, "WREATH_CAP", 8)
+    with pytest.raises(TooLarge) as e:
+        pr.build_hwr_eta(triple)
+    assert (e.value.what, e.value.size, e.value.bound) == ("wreath order", 24, 8)
+    with pytest.raises(TooLarge) as e:
+        pr.build_hwr(triple.K, triple.T)
+    assert (e.value.what, e.value.size, e.value.bound) == ("wreath order", 24, 8)
