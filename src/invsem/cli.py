@@ -36,6 +36,7 @@ class Report:
     checks: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
     elapsed: float = 0.0
+    sweep_s: dict = field(default_factory=dict)     # suite -> seconds, verify only
 
     @property
     def passed(self):
@@ -51,7 +52,8 @@ class Report:
             "extra": self.extra,
             "elapsed_s": round(self.elapsed, 3),
             "passed": self.passed,
-        })
+        } | ({"sweep_s": {k: round(v, 3) for k, v in self.sweep_s.items()}}
+             if self.sweep_s else {}))
 
     def render_text(self):
         lines = []
@@ -605,9 +607,17 @@ SUITES = {
 def verify(name, max_order=None):
     """The checks of suite `name` over its sweep at max_order (the suite's
     default when None), each timed."""
+    return timed_verify(name, max_order)[0]
+
+
+def timed_verify(name, max_order=None):
+    """verify(), and the seconds that building the suite's sweep took."""
     suite = SUITES[name]
+    t0 = time.perf_counter()
+    items = suite.sweep(suite.max_order if max_order is None else max_order)
+    sweep_s = time.perf_counter() - t0
     checks = []
-    for label, item in suite.sweep(suite.max_order if max_order is None else max_order):
+    for label, item in items:
         t0 = time.perf_counter()
         result = suite.predicate(item)
         elapsed = time.perf_counter() - t0
@@ -616,7 +626,7 @@ def verify(name, max_order=None):
     if suite.summary:
         checks += suite.summary(checks)
     # a sweep that checked nothing has shown nothing
-    return checks or [Check("sweep-nonvacuous", False, {"max_order": max_order})]
+    return checks or [Check("sweep-nonvacuous", False, {"max_order": max_order})], sweep_s
 
 
 def cmd_verify(args):
@@ -624,8 +634,8 @@ def cmd_verify(args):
         raise UsageError(f"--sweep {args.sweep} is not a directory")
     report = Report(command=["verify", args.name])
     for name in list(SUITES) if args.name == "all" else [args.name]:
-        report.checks += [replace(c, name=f"{name}:{c.name}")
-                          for c in verify(name, args.max_order)]
+        checks, report.sweep_s[name] = timed_verify(name, args.max_order)
+        report.checks += [replace(c, name=f"{name}:{c.name}") for c in checks]
     if args.sweep:
         report.extra["sweep_note"] = _sweep_extra(args.sweep, report)
     return report
@@ -658,14 +668,15 @@ class UsageError(Exception):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit the report as JSON")
     p = argparse.ArgumentParser(
         prog="invsem",
-        parents=[common],
         description="workbench for finite inverse semigroups: products, "
                     "translational hulls, congruence transversals")
+    p.add_argument("--json", action="store_true", help="emit the report as JSON")
+    # after the subcommand too; no default there, so it cannot undo a --json before it
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="emit the report as JSON")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     q = sub.add_parser("validate", parents=[common], help="check a multiplication table")

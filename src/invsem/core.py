@@ -100,6 +100,18 @@ class InverseSemigroup:
         n = self.order
         return self.table[self.rans] == np.arange(n)[:, None]
 
+    @cached_property
+    def semilattice(self):
+        """E(S) as its own semilattice, with the (read-only) element list into S."""
+        E, elems = subsemigroup(self, self.idempotents)
+        if not is_semilattice(E):
+            # E passed validate, so its idempotents commute: some listed element is not one
+            a = int(elems[np.flatnonzero(E.table.diagonal() != np.arange(E.order))[0]])
+            raise ValueError(f"element {a} is listed as an idempotent, "
+                             f"but {a}*{a} = {self.mul(a, a)}")
+        elems.flags.writeable = False
+        return E, elems
+
     def natural_leq(self, a, b):
         return bool(self.leq[a, b])
 
@@ -292,13 +304,8 @@ def is_semilattice(S):
 
 
 def idempotent_semilattice(S):
-    """E(S) as its own semilattice, with the element list into S."""
-    E, elems = subsemigroup(S, S.idempotents)
-    if not is_semilattice(E):
-        # E passed validate, so its idempotents commute: some listed element is not one
-        a = int(elems[np.flatnonzero(E.table.diagonal() != np.arange(E.order))[0]])
-        raise ValueError(f"element {a} is listed as an idempotent, but {a}*{a} = {S.mul(a, a)}")
-    return E, elems
+    """E(S) as its own semilattice, with the element list into S, built once per S."""
+    return S.semilattice
 
 
 def direct_product(S, S2):

@@ -7,7 +7,11 @@ problem and returns the witnessing pair of isomorphisms.
 
 `search_homomorphisms` is the one search behind every enumerator that
 looks for a product-preserving map: endomorphisms, actions and eps maps
-in `actions`, isomorphisms here, split transversals in `billhardt`.
+in `actions`, isomorphisms here, split transversals in `billhardt`.  It
+compiles a plan once per call: for each free variable, the variables its
+choice forces and the products left to check, so each search node runs
+two straight loops.  Candidates are first filtered by the monogenic
+relation a^(i+p) = a^i of the variable they would be the image of.
 """
 
 from dataclasses import dataclass
@@ -90,64 +94,97 @@ def _profiles(S):
     return out
 
 
+def _powers_match(src, dst, a, b, allowed, injective):
+    """False when no homomorphism can send a to b.  One would send a's left
+    powers a, a*a, (a*a)*a, ... (the first repeat is a^(i+p) = a^i) to b's,
+    so b^(i+p) = b^i, each b^k lies in the domain of a^k, and when injective
+    b, ..., b^(i+p-1) are distinct.  Holds in any magma."""
+    x, y, seen = a, b, {a: b}
+    while True:
+        x, y = src[x][a], dst[y][b]
+        if x in seen:
+            return seen[x] == y
+        if not allowed[x] >> y & 1 or injective and y in seen.values():
+            return False
+        seen[x] = y
+
+
+def _compile(src, order):
+    """Per free variable f of `order`: the variables that choosing f forces,
+    each with the product (x, y) that gives its value, and the products
+    (x, y, z) with a new factor that are left to check.  The forced variables
+    are the closure of the assigned set under src's products, so none of
+    this depends on the values chosen."""
+    seen = [False] * len(src)
+    closed = []                 # assigned variables, in derivation order
+    plan = []
+    for f in order:
+        if seen[f]:
+            continue
+        seen[f] = True
+        i = len(closed)
+        closed.append(f)
+        forced, checks = [], []
+        while i < len(closed):
+            v = closed[i]
+            for u in closed[:i + 1]:
+                for x, y in ((v, u), (u, v)) if u != v else ((v, v),):
+                    z = src[x][y]
+                    if seen[z]:
+                        checks.append((x, y, z))
+                    else:
+                        seen[z] = True
+                        closed.append(z)
+                        forced.append((z, x, y))
+            i += 1
+        plan.append((f, forced, checks))
+    return plan
+
+
 def search_homomorphisms(src, dst, domains, order=None, injective=False):
     """Every map m with m[x] in domains[x] and m[src[x, y]] = dst[m[x], m[y]].
 
-    Depth-first over the variables in `order` (default 0..n-1), trying each
-    variable's candidates in the order listed, so the maps come out in
-    lexicographic order.  Every assignment forces the products with all the
-    variables assigned so far; a forced value must lie in its domain and,
-    when injective, be unused.  Yields each map as an int64 array.
+    Depth-first over the free variables of `order` (default 0..n-1), trying
+    each one's candidates in the order listed, so the maps come out in
+    lexicographic order.  A plan compiled once per call (`_compile`) lists
+    what each free choice forces and checks; a forced value must lie in its
+    domain and, when injective, be unused.  Candidates whose powers cannot
+    match (`_powers_match`) are dropped first.  Yields each map as an int64
+    array.
     """
     src, dst = np.asarray(src).tolist(), np.asarray(dst).tolist()
     n = len(src)
     domains = [[int(b) for b in d] for d in domains]
-    allowed = [set(d) for d in domains]
-    order = range(n) if order is None else order
-    m = [-1] * n
-    trail = []
-    used = set()
+    allowed = [sum(1 << b for b in set(d)) for d in domains]
+    plan = [(f, [b for b in domains[f] if _powers_match(src, dst, f, b, allowed, injective)],
+             forced, checks)
+            for f, forced, checks in _compile(src, range(n) if order is None else order)]
+    m = [0] * n
 
-    def assign(a, b):
-        work = [(a, b)]
-        while work:
-            a, b = work.pop()
-            if m[a] != -1:
-                if m[a] != b:
-                    return False
-                continue
-            if b not in allowed[a] or b in used:
-                return False
-            m[a] = b
-            if injective:
-                used.add(b)
-            trail.append(a)
-            for x in trail:
-                work.append((src[a][x], dst[b][m[x]]))
-                work.append((src[x][a], dst[m[x]][b]))
-        return True
-
-    def undo(mark):
-        while len(trail) > mark:
-            a = trail.pop()
-            used.discard(m[a])
-            m[a] = -1
-
-    def dfs(i):
-        if i == n:
+    def descend(level, used):
+        if level == len(plan):
             yield np.array(m, dtype=np.int64)
             return
-        a = order[i]
-        if m[a] != -1:
-            yield from dfs(i + 1)
-            return
-        for b in domains[a]:
-            mark = len(trail)
-            if assign(a, b):
-                yield from dfs(i + 1)
-            undo(mark)
+        f, candidates, forced, checks = plan[level]
+        for b in candidates:
+            if injective and used >> b & 1:
+                continue
+            m[f] = b
+            now = used | 1 << b
+            for z, x, y in forced:
+                c = dst[m[x]][m[y]]
+                if not allowed[z] >> c & 1 or injective and now >> c & 1:
+                    break
+                m[z] = c
+                now |= 1 << c
+            else:
+                for x, y, z in checks:
+                    if dst[m[x]][m[y]] != m[z]:
+                        break
+                else:
+                    yield from descend(level + 1, now)
 
-    yield from dfs(0)
+    yield from descend(0, 0)
 
 
 def _iso_search(S, S2, allowed=None):

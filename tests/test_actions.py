@@ -194,6 +194,27 @@ def test_action_sweep_pinned():
     assert h.hexdigest() == "c6067bff29197f75c89653371f7524a1a13d49372b2a72d6f385b754818346fb"
 
 
+def test_actions_and_eps_maps_pinned():
+    # the 4,165 action tables of action_sweep(4), then every pair's eps maps,
+    # in enumeration order; the digest was taken with the worklist search
+    h = hashlib.sha256()
+    for kn, tn, a in action_sweep(4):
+        h.update(f"{kn}|{tn}|".encode())
+        h.update(np.asarray(a.act, dtype=np.int64).tobytes())
+    cat = fixtures.catalog()
+    names = fixtures.sweep_names(4)
+    count = 0
+    for tn in names:
+        for kn in names:
+            epss = ac.enumerate_surjective_eps(cat[kn], cat[tn])
+            h.update(f"eps|{kn}|{tn}|{len(epss)}|".encode())
+            for eps in epss:
+                h.update(np.asarray(eps.map, dtype=np.int64).tobytes())
+            count += len(epss)
+    assert len(names) ** 2 == 100 and count == 80
+    assert h.hexdigest() == "421d1f4d5379f01a135018421111b66d14146d48fa24fc8860a438590d198750"
+
+
 def check_AFR_by_loop(action, eps):
     """The double loop that check_AFR replaced, kept as its oracle."""
     T, K, A = action.T, action.K, action.act

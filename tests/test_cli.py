@@ -514,6 +514,30 @@ def test_verify_all_is_pinned(capsys):
     assert cli.run(["verify", "all", "--jobs", "2"]) == (2, None)
 
 
+def test_json_flag_before_or_after_the_subcommand(tmp_path, capsys):
+    path = write(tmp_path, "chain3.json", {"order": 3, "table": MIN3})
+    for argv in (["--json", "validate", path], ["validate", path, "--json"],
+                 ["--json", "verify", "remark-4.3"], ["verify", "remark-4.3", "--json"]):
+        code, report = cli.run(argv)
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(report.to_dict()))
+    cli.run(["validate", path])
+    assert capsys.readouterr().out.startswith("PASS")
+
+
+def test_verify_reports_sweep_time(tmp_path, capsys):
+    path = write(tmp_path, "chain3.json", {"order": 3, "table": MIN3})
+    cli.run(["verify", "all", "--max-order", "2", "--json"])
+    sweep_s = json.loads(capsys.readouterr().out)["sweep_s"]
+    assert list(sweep_s) == sorted(cli.SUITES)
+    assert all(t >= 0 for t in sweep_s.values())
+    # the text report and the other commands' JSON are unchanged
+    cli.run(["verify", "cor-3.4", "--max-order", "2"])
+    assert "sweep_s" not in capsys.readouterr().out
+    cli.run(["--json", "validate", path])
+    assert "sweep_s" not in json.loads(capsys.readouterr().out)
+
+
 def _limit_address_space():
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
     resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, hard))

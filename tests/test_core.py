@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import invsem
-from invsem import core, fixtures, partial_bijections as pb, products
+from invsem import actions, core, fixtures, partial_bijections as pb, products
 from invsem.core import (IdempotentsDontCommute, NotAssociative, NotRegular,
                          direct_product, dom, generated_subsemigroup,
                          natural_leq, principal_left_ideal, ran, validate)
@@ -337,6 +337,24 @@ def test_direct_product(catalog):
     E2, _ = core.idempotent_semilattice(catalog["i2"])
     big = direct_product(E2, E2)
     assert big.order == 16 and core.is_semilattice(big)
+
+
+def test_idempotent_semilattice_is_built_once_per_semigroup(catalog, monkeypatch):
+    # fresh copies, so that no earlier test has cached E(T) on them
+    ts = [validate(catalog[n].table) for n in fixtures.sweep_names(4)]
+    built = []
+    real = core.subsemigroup
+    monkeypatch.setattr(core, "subsemigroup", lambda *a: built.append(a) or real(*a))
+    for T in ts:
+        for K in ts:
+            actions.enumerate_surjective_eps(K, T)
+    assert len(built) == len(ts) == 10
+    T = ts[-1]
+    E, elems = core.idempotent_semilattice(T)
+    assert core.idempotent_semilattice(T)[0] is E
+    assert elems.tolist() == sorted(T.idempotents)
+    with pytest.raises(ValueError, match="read-only"):
+        elems[0] = 1
 
 
 def test_every_finite_semilattice_has_zero(catalog):

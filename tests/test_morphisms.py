@@ -1,10 +1,13 @@
+import random
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from invsem import actions as ac
+from invsem import billhardt as bh
 from invsem import congruences as cg
-from invsem import core, morphisms as mo
+from invsem import core, fixtures, morphisms as mo
 from invsem.core import TooLarge, validate
 
 
@@ -134,3 +137,162 @@ def test_solution_embedding(catalog):
     with pytest.raises(mo.NotInjective) as e:
         mo.solution_embedding([0, 0], s1, s1)
     assert e.value.witness == (0, 1)
+
+
+def search_by_worklist(src, dst, domains, order=None, injective=False):
+    """The worklist search that the compiled plan replaced, kept as its oracle."""
+    src, dst = np.asarray(src).tolist(), np.asarray(dst).tolist()
+    n = len(src)
+    domains = [[int(b) for b in d] for d in domains]
+    allowed = [set(d) for d in domains]
+    order = range(n) if order is None else order
+    m = [-1] * n
+    trail = []
+    used = set()
+
+    def assign(a, b):
+        work = [(a, b)]
+        while work:
+            a, b = work.pop()
+            if m[a] != -1:
+                if m[a] != b:
+                    return False
+                continue
+            if b not in allowed[a] or b in used:
+                return False
+            m[a] = b
+            if injective:
+                used.add(b)
+            trail.append(a)
+            for x in trail:
+                work.append((src[a][x], dst[b][m[x]]))
+                work.append((src[x][a], dst[m[x]][b]))
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            a = trail.pop()
+            used.discard(m[a])
+            m[a] = -1
+
+    def dfs(i):
+        if i == n:
+            yield np.array(m, dtype=np.int64)
+            return
+        a = order[i]
+        if m[a] != -1:
+            yield from dfs(i + 1)
+            return
+        for b in domains[a]:
+            mark = len(trail)
+            if assign(a, b):
+                yield from dfs(i + 1)
+            undo(mark)
+
+    yield from dfs(0)
+
+
+def _search_calls(run):
+    """The arguments of every search_homomorphisms call that run() makes."""
+    calls = []
+    real = mo.search_homomorphisms
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mo, "search_homomorphisms", spy)
+        run()
+    return calls
+
+
+def _matches_oracle(calls):
+    """Each call gives the oracle's maps, in the oracle's order; returns the map count."""
+    total = 0
+    for args, kwargs in calls:
+        got = list(mo.search_homomorphisms(*args, **kwargs))
+        assert all(m.dtype == np.int64 for m in got)
+        assert [m.tolist() for m in got] == \
+            [m.tolist() for m in search_by_worklist(*args, **kwargs)]
+        total += len(got)
+    return total
+
+
+def test_kernel_matches_oracle_on_actions_and_eps(catalog):
+    def run():
+        for T in catalog.values():
+            for K in catalog.values():
+                ac.enumerate_actions(T, K)
+                ac.enumerate_surjective_eps(K, T)
+    calls = _search_calls(run)
+    # per pair: End(K), the actions over End(K)'s composition table, the eps maps
+    assert len(calls) == 3 * len(catalog) ** 2
+    assert _matches_oracle(calls) > 0
+
+
+def test_kernel_matches_oracle_on_endomorphisms_and_isomorphisms(catalog):
+    def run():
+        for S in catalog.values():
+            ac.enumerate_endomorphisms(S)
+            for S2 in catalog.values():
+                mo.all_isomorphisms(S, S2)
+    calls = _search_calls(run)
+    assert any(kw.get("injective") or len(a) == 5 and a[4] for a, kw in calls)
+    assert _matches_oracle(calls) > 0
+
+
+def test_kernel_matches_oracle_on_split_transversals(rsd_fixtures):
+    def run():
+        for _, P in rsd_fixtures:
+            theta = cg.congruence_from_map(P.sg, P.pi2.map)
+            list(bh.enumerate_transversals(P.sg, theta, want_split=True))
+            bh.classical_billhardt_on(P.sg, theta, want_split=True)
+    calls = _search_calls(run)
+    assert calls
+    assert _matches_oracle(calls) > 0
+
+
+def test_kernel_matches_oracle_on_catalog_homomorphisms(catalog):
+    # every map S -> S2 between catalog instances, free variables in three
+    # orders, injective on and off: a forced value can then repeat an
+    # earlier one in a map that is otherwise a homomorphism (fork -> chain2)
+    rng = random.Random(7)
+    calls = []
+    for S in catalog.values():
+        n = S.order
+        for S2 in catalog.values():
+            for order in (None, list(range(n))[::-1], rng.sample(range(n), n)):
+                for injective in (False, True):
+                    calls.append(((S.table, S2.table, [range(S2.order)] * n, order, injective),
+                                  {}))
+    assert _matches_oracle(calls) > 0
+
+
+def _random_table(rng, n):
+    kind = rng.randrange(4)
+    if kind == 0:           # any magma
+        return [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    if kind == 1:           # left projection: m[x*y] = m[x] is all it asks
+        return [[x for _ in range(n)] for x in range(n)]
+    if kind == 2:           # a relabelled catalog semigroup
+        S = rng.choice([S for S in fixtures.catalog().values() if S.order <= n])
+        perm = list(range(S.order))
+        rng.shuffle(perm)
+        inv = np.argsort(perm)
+        return np.array(perm)[S.table[np.ix_(inv, inv)]].tolist()
+    return [[min(x, y) for y in range(n)] for x in range(n)]
+
+
+def test_kernel_matches_oracle_on_random_magmas():
+    rng = random.Random(20240)
+    total = 0
+    for _ in range(400):
+        src = _random_table(rng, rng.randint(1, 6))
+        dst = _random_table(rng, rng.randint(1, 6))
+        n, k = len(src), len(dst)
+        domains = [rng.sample(range(k), rng.randint(0 if rng.random() < 0.05 else 1, k))
+                   for _ in range(n)]
+        order = rng.sample(range(n), n) if rng.random() < 0.7 else None
+        total += _matches_oracle([((src, dst, domains, order, rng.random() < 0.5), {})])
+    assert total > 400
