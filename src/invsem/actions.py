@@ -15,7 +15,6 @@ from .core import InverseSemigroup, TooLarge
 
 ENDO_BOUND = 7
 NAIVE_ACTION_BOUND = 400_000
-BLOCK_CELLS = 1 << 22       # cells compared at once by the law checks
 
 
 class NotEndomorphism(Exception):
@@ -79,7 +78,7 @@ def _check_laws(T, K, stack):
     Kt = K.table
     rows = stack.reshape(m * nT, nK)
     endo, first = None, m       # the endomorphism failure and its table
-    step = max(1, BLOCK_CELLS // max(1, nK * nK))
+    step = max(1, core.BLOCK_CELLS // max(1, nK * nK))
     for r0 in range(0, len(rows), step):
         blk = rows[r0:r0 + step]
         bad = blk[:, Kt] != Kt[blk[:, :, None], blk[:, None, :]]
@@ -88,7 +87,7 @@ def _check_laws(T, K, stack):
             first, t = divmod(r0 + int(r), nT)
             endo = NotEndomorphism(t, int(a), int(b))
             break
-    step = max(1, BLOCK_CELLS // max(1, nT * nT * nK))
+    step = max(1, core.BLOCK_CELLS // max(1, nT * nT * nK))
     for s0 in range(0, first, step):
         blk = stack[s0:min(s0 + step, first)]
         at = np.arange(len(blk))[:, None, None, None]

@@ -1,10 +1,11 @@
 """Congruence enumeration, kernels, traces, quotients.
 
-Two independent engines: an exhaustive partition scan for small orders
-and a principal-join engine for larger ones.  The join engine computes
-the distinct principal congruences theta(a, b), then closes them under
-joins, joining each newly found congruence only with the principal ones.
-Tests compare the engines where both apply.
+Each engine runs as a few whole-array passes over stacks of labellings, one
+row per partition, with one compatibility check for every caller.
+`principal_congruences` closes all the requested theta(a, b) in one boolean
+stack.  Two independent engines list every congruence: a scan of all
+restricted growth strings at once for small orders, and a principal-join
+engine for larger ones.  Tests compare the engines where both apply.
 """
 
 from dataclasses import dataclass
@@ -32,14 +33,22 @@ class NotSurjective(Exception):
     pass
 
 
+def _least_members(C):
+    """m[i, x]: the least y labelled like x in row i of a stack of labellings."""
+    return (C[:, :, None] == C[:, None, :]).argmax(axis=2)
+
+
+def _rank(m):
+    """Canonical labels from least members: the classes numbered in order of
+    their least members, which is their order of first appearance."""
+    rank = np.cumsum(m == np.arange(m.shape[-1]), axis=-1) - 1
+    return np.take_along_axis(rank, m, axis=-1)
+
+
 def _canon(class_of):
     """Relabel classes in order of first appearance (least member first)."""
-    class_of = np.asarray(class_of, dtype=np.int64)
-    relabel = {}
-    out = np.empty_like(class_of)
-    for i, c in enumerate(class_of):
-        out[i] = relabel.setdefault(int(c), len(relabel))
-    return out
+    _, first, inv = np.unique(np.asarray(class_of), return_index=True, return_inverse=True)
+    return _rank(first[inv])
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,17 +98,22 @@ def _as_class_of(S, partition):
     return class_of
 
 
-def _compatible(S, c):
-    reps = []
-    seen = {}
-    for i, x in enumerate(c):
-        if int(x) not in seen:
-            seen[int(x)] = len(reps)
-            reps.append(i)
-    lab = np.array([seen[int(x)] for x in c], dtype=np.int64)
-    reps = np.array(reps, dtype=np.int64)
-    X = lab[S.table[np.ix_(reps, reps)]]
-    return bool((lab[S.table] == X[lab[:, None], lab[None, :]]).all())
+def _compatible(T, C):
+    """ok[i] iff the labelling C[i], in [0, n), is a congruence of the table T:
+    c(xs) = c(m(x)s) and c(sx) = c(s m(x)) for all x and s, where m(x) is the
+    least member of x's class.  In blocks of at most `core.BLOCK_CELLS` cells."""
+    n = len(T)
+    C = np.asarray(C, dtype=np.min_scalar_type(n - 1)).reshape(-1, n)
+    ok = np.empty(len(C), dtype=bool)
+    step = max(1, core.BLOCK_CELLS // (n * n))
+    for i in range(0, len(C), step):
+        c = C[i:i + step]
+        m = _least_members(c)
+        row = np.arange(len(c))[:, None, None]
+        same = c[row, T] == c[row, T[m]]
+        same &= c[row, T.T] == c[row, T.T[m]]
+        ok[i:i + step] = same.all(axis=(1, 2))
+    return ok
 
 
 def _compat_witness(S, c):
@@ -117,10 +131,9 @@ def _compat_witness(S, c):
 
 
 def is_congruence(S, partition):
-    c = _as_class_of(S, partition)
-    if not _compatible(S, c):
+    c = _canon(_as_class_of(S, partition))
+    if not _compatible(S.table, c)[0]:
         raise NotCompatible(*_compat_witness(S, c))
-    c = _canon(c)
     theta = Congruence(S, c, int(c.max()) + 1)
     # inversion compatibility comes for free on inverse semigroups
     rep_of = theta.reps()[c]
@@ -134,7 +147,7 @@ def is_congruence(S, partition):
 def congruence_from_map(S, values):
     """Kernel of any map out of S that is multiplicative on classes."""
     c = _canon(values)
-    if not _compatible(S, c):
+    if not _compatible(S.table, c)[0]:
         raise NotCompatible(*_compat_witness(S, c))
     return Congruence(S, c, int(c.max()) + 1)
 
@@ -147,135 +160,110 @@ def universal(S):
     return Congruence(S, np.zeros(S.order, dtype=np.int64), 1)
 
 
-def _restricted_growth_strings(n):
-    a = [0] * n
-
-    def rec(i, mx):
-        if i == n:
-            yield tuple(a)
-            return
-        for v in range(mx + 2):
-            a[i] = v
-            yield from rec(i + 1, max(mx, v))
-
-    yield from rec(1, 0)
+def _growth_strings(n):
+    """Every restricted growth string of length n (c[0] = 0, each c[i] at
+    most one above max(c[:i])), one per row, in lexicographic order: the
+    canonical labellings of all partitions of n elements."""
+    C = np.zeros((1, 1), dtype=np.int64)
+    top = np.zeros(1, dtype=np.int64)
+    for _ in range(1, n):
+        width = top + 2
+        parent = np.repeat(np.arange(len(C)), width)
+        v = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
+        C = np.column_stack([C[parent], v])
+        top = np.maximum(top[parent], v)
+    return C
 
 
 def _enumerate_by_partitions(S):
-    out = []
-    for rgs in _restricted_growth_strings(S.order):
-        c = np.array(rgs, dtype=np.int64)
-        if _compatible(S, c):
-            out.append(c)
+    C = _growth_strings(S.order)
+    return C[_compatible(S.table, C)]
+
+
+def _closure(rel):
+    """Least members of the equivalence closure of each reflexive, symmetric
+    relation in the stack rel (k, n, n), squared in place until no row
+    changes (float32 products count at most n paths, so they are exact)."""
+    active = np.arange(len(rel))
+    while len(active):
+        f = rel[active].astype(np.float32)
+        sq = (f @ f) > 0
+        changed = (sq != rel[active]).any(axis=(1, 2))
+        active = active[changed]
+        rel[active] = sq[changed]
+    return rel.argmax(axis=2)
+
+
+def principal_congruences(S, pairs):
+    """theta(a, b), the least congruence identifying a and b, for each pair
+    (a, b), as one row of canonical labels each.
+
+    theta(a, b) is the equivalence closure of {(uav, ubv) : u, v in S^1}
+    (Howie, *Fundamentals of Semigroup Theory*, 1995, section 1.5).
+    """
+    n = S.order
+    T = S.table
+    ar = np.arange(n)
+    # uxv, for u and then v running over S^1 in one fixed order for every x
+    ux = np.column_stack([ar, T.T])
+    uxv = np.concatenate([ux[:, :, None], T[ux]], axis=2).reshape(n, -1)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    out = np.empty((len(pairs), n), dtype=np.int64)
+    step = max(1, core.BLOCK_CELLS // (n * n))
+    for i in range(0, len(pairs), step):
+        a, b = pairs[i:i + step].T
+        row = np.arange(len(a))[:, None]
+        rel = np.zeros((len(a), n, n), dtype=bool)
+        rel[row, uxv[a], uxv[b]] = True
+        rel[row, uxv[b], uxv[a]] = True
+        rel[:, ar, ar] = True
+        out[i:i + step] = _rank(_closure(rel))
     return out
 
 
-class _UF:
-    def __init__(self, n):
-        self.p = list(range(n))
-
-    def find(self, x):
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.p[max(rx, ry)] = min(rx, ry)
-        return True
-
-    def labels(self):
-        return np.array([self.find(x) for x in range(len(self.p))], dtype=np.int64)
-
-
 def principal_congruence(S, a, b):
-    """Least congruence identifying a and b (pair-closure worklist)."""
-    n = S.order
-    T = S.table
-    uf = _UF(n)
-    work = [(int(a), int(b))]
-    while work:
-        x, y = work.pop()
-        if not uf.union(x, y):
-            continue
-        for s in range(n):
-            if T[s, x] != T[s, y]:
-                work.append((int(T[s, x]), int(T[s, y])))
-            if T[x, s] != T[y, s]:
-                work.append((int(T[x, s]), int(T[y, s])))
-    return _canon(uf.labels())
-
-
-def _merge_along(c, pairs):
-    """Join of the canonical class tuple c with the congruence spanned by pairs.
-
-    Only c's own k class labels are merged, by a quick-find union over them
-    that keeps the least label of each group; then one pass relabels the
-    elements.  c's labels are in order of first appearance, so ranking the
-    surviving labels keeps the result canonical.
-    """
-    lab = list(range(max(c) + 1))
-    merged = False
-    for a, b in pairs:
-        x, y = lab[c[a]], lab[c[b]]
-        if x != y:
-            if x > y:
-                x, y = y, x
-            lab = [x if v == y else v for v in lab]
-            merged = True
-    if not merged:
-        return c
-    rank = {v: i for i, v in enumerate(sorted(set(lab)))}
-    new = [rank[v] for v in lab]
-    return tuple(new[x] for x in c)
-
-
-def _spanning_pairs(c):
-    """(first member, other member) for every non-singleton class of c."""
-    first = {}
-    pairs = []
-    for i, x in enumerate(c):
-        if x in first:
-            pairs.append((first[x], i))
-        else:
-            first[x] = i
-    return pairs
+    """Least congruence identifying a and b."""
+    return principal_congruences(S, [(a, b)])[0]
 
 
 def _enumerate_by_joins(S):
-    """Every congruence, as a join of principal congruences.
+    """Every congruence, as a join of principal congruences, one row of least
+    members each.
 
     Each congruence is the join of the principal congruences theta(a, b) of
     its related pairs, so the lattice is the closure of the diagonal and the
     distinct principal congruences under joining with a principal one
     (Freese, "Computing congruences efficiently", Algebra Universalis 59,
     2008).  It grows as a frontier: each new congruence is joined with each
-    principal congruence, never with the whole lattice found so far.
+    principal congruence, never with the whole lattice found so far, in one
+    stacked closure per block of at most `core.BLOCK_CELLS` cells.
     """
     n = S.order
-    principals = list(dict.fromkeys(
-        tuple(principal_congruence(S, a, b).tolist())
-        for a in range(n) for b in range(a + 1, n)))
-    spans = [_spanning_pairs(p) for p in principals]
-    found = set(principals)
-    found.add(tuple(range(n)))
-    frontier = principals
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for pairs in spans:
-                j = _merge_along(x, pairs)
-                if j not in found:
-                    found.add(j)
-                    fresh.append(j)
-        frontier = fresh
-    out = [np.array(c, dtype=np.int64) for c in found]
-    for c in out:
-        if not _compatible(S, c):
-            raise NotCompatible(*_compat_witness(S, c))
+    found = set()
+
+    def new(C):
+        """The rows of C not found before, each once; they count as found now."""
+        uniq = dict(zip(C.view(np.dtype((np.void, C.itemsize * n))).ravel().tolist(),
+                        range(len(C))))
+        fresh = [j for k, j in uniq.items() if k not in found]
+        found.update(uniq)
+        return C[fresh]
+
+    a, b = np.triu_indices(n, 1)
+    rows = [new(np.arange(n)[None]),
+            new(_least_members(principal_congruences(S, np.column_stack([a, b]))))]
+    principals = frontier = rows[1]
+    same = principals[:, :, None] == principals[:, None, :]
+    step = max(1, core.BLOCK_CELLS // max(1, len(principals) * n * n))
+    while len(frontier):
+        frontier = np.concatenate([
+            new(_closure(((f[:, None, :, None] == f[:, None, None, :]) | same).reshape(-1, n, n)))
+            for f in np.split(frontier, range(step, len(frontier), step))])
+        rows.append(frontier)
+    out = np.concatenate(rows)
+    ok = _compatible(S.table, out)
+    if not ok.all():
+        raise NotCompatible(*_compat_witness(S, out[np.argmin(ok)]))
     return out
 
 
@@ -294,12 +282,11 @@ def enumerate_congruences(S, method="auto"):
         raw = _enumerate_by_joins(S)
     else:
         raise ValueError(f"unknown method {method!r}")
-    uniq = {}
-    for c in raw:
-        c = _canon(c)
-        uniq[c.tobytes()] = c
-    ordered = sorted(uniq.values(), key=lambda c: (-(int(c.max()) + 1), tuple(c)))
-    out = [Congruence(S, c, int(c.max()) + 1) for c in ordered]
+    C = _rank(_least_members(raw))
+    count = C.max(axis=1) + 1
+    # most classes first, then lexicographically
+    order = np.lexsort(np.vstack([C.T[::-1], -count]))
+    out = [Congruence(S, c, int(k)) for c, k in zip(C[order], count[order])]
     if out[0] != diagonal(S) or out[-1] != universal(S):
         raise ValueError(f"{method} enumeration misses the diagonal or the universal congruence: "
                          f"it runs from {out[0].class_count} classes to {out[-1].class_count}")

@@ -14,14 +14,19 @@ from the top of the J-order down: elements with the largest row image |aS|
 first.  In an inverse semigroup aS = aa^-1 S, and |eS| is constant on a
 D-class and strictly smaller below it, so the few maximal D-classes come
 first and generate most of the table; a wreath product of order 290 needs 7
-generators this way, against 282 in index order.  The inverses are then
-found in one array pass; every check reads a uint8 or uint16 copy of the table.
+generators this way, against 282 in index order.  Tables of at most
+`CUBE_CELLS` triples skip the search and compare the whole cube at once.
+The inverses are then found in one array pass; every check reads a uint8 or
+uint16 copy of the table.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+BLOCK_CELLS = 1 << 22   # cells a stacked array pass touches at once
+CUBE_CELLS = 1 << 17    # up to n^3 this many, associativity reads the whole cube
 
 
 class NotAssociative(Exception):
@@ -163,9 +168,13 @@ def _light_generators(T):
 def _assoc_witness(T):
     """Least (a,b,c) with (ab)c != a(bc), or None.
 
+    A small table is compared over the whole cube in one pass.  Otherwise
     Light's test on `_light_generators` decides; only when it fails are the
     rows scanned, in order, for the least witness.
     """
+    if len(T) ** 3 <= CUBE_CELLS:
+        bad = np.argwhere(T[T] != T[:, T])     # bad[a, b, c]: (ab)c != a(bc)
+        return tuple(int(x) for x in bad[0]) if len(bad) else None
     if all((T[T[:, a]] == T[:, T[a]]).all() for a in _light_generators(T)):
         return None
     for a in range(len(T)):
@@ -199,7 +208,7 @@ def validate(table, names=None):
         raise NotAssociative(*w)
     ar = np.arange(n)
     idem = np.flatnonzero(T[ar, ar] == ar)
-    sub = T[np.ix_(idem, idem)]
+    sub = T[idem][:, idem]
     bad = np.argwhere(sub != sub.T)
     if len(bad):
         i, j = bad[0]
@@ -286,16 +295,17 @@ def subsemigroup(S, members):
     Returns (sub, elems) where elems[i] is the S-index of sub's element i.
     """
     elems = np.array(sorted(set(int(x) for x in members)), dtype=np.int64)
-    pos = {int(x): i for i, x in enumerate(elems)}
-    sub_table = S.table[np.ix_(elems, elems)]
-    bad = set(int(x) for x in sub_table.ravel()) - set(pos)
-    if bad:
-        raise ValueError(f"subset not closed under product, e.g. produces {sorted(bad)[0]}")
-    reidx = np.vectorize(pos.__getitem__, otypes=[np.int64])
+    pos = np.full(S.order, -1, dtype=np.int64)     # -1 outside the subset
+    pos[elems] = np.arange(len(elems))
+    prod = S.table[elems][:, elems]
+    sub_table = pos[prod]
+    if (sub_table < 0).any():
+        raise ValueError(f"subset not closed under product, "
+                         f"e.g. produces {int(prod[sub_table < 0].min())}")
     names = None
     if S.names is not None:
         names = tuple(S.names[int(x)] for x in elems)
-    sub = validate(reidx(sub_table), names=names)
+    sub = validate(sub_table, names=names)
     return sub, elems
 
 

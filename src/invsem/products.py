@@ -307,7 +307,7 @@ def build_pkt(K, T, fibers=None):
             ixe = np.array([ctx.pos[e][x] for x in ctx.ideals[g]])
             ixf = np.array([ctx.pos[f][x] for x in ctx.ideals[g]])
             Bv = V[f][:, ixf]
-            step = max(1, (1 << 22) // max(1, mf * len(ixe)))
+            step = max(1, core.BLOCK_CELLS // max(1, mf * len(ixe)))
             for r0 in range(0, me, step):
                 Av = V[e][r0:r0 + step][:, ixe]
                 C = K.table[Av[:, None, :], Bv[None, :, :]]
@@ -406,7 +406,7 @@ def build_lwr(K, T):
     D = actions._mixed_radix(np.arange(nP), nT, nK)
     w = nK ** np.arange(nT - 1, -1, -1)
     table = np.empty((nP, nP), dtype=np.int64)
-    step = max(1, (1 << 22) // max(1, nP * nT))
+    step = max(1, core.BLOCK_CELLS // max(1, nP * nT))
     for r0 in range(0, nP, step):
         C = K.table[D[r0:r0 + step, None, :], D[None, :, :]]
         table[r0:r0 + len(C)] = C @ w

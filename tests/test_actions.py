@@ -179,7 +179,7 @@ def test_stack_checker_blocks(catalog, monkeypatch):
     tables = [[[0, 1, 2], [0, 2, 1]], [[0, 0, 0], [0, 1, 2]], [[0, 1, 2], [0, 1, 1]]]
     expect = _loop_outcome(z2, z3, tables)
     for cells in (1, 18, 27, 36):
-        monkeypatch.setattr(ac, "BLOCK_CELLS", cells)
+        monkeypatch.setattr(core, "BLOCK_CELLS", cells)
         assert _stack_outcome(z2, z3, tables) == expect
         assert _stack_outcome(z2, z3, tables[::-1]) == _loop_outcome(z2, z3, tables[::-1])
 

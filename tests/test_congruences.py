@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from invsem import congruences as cg
-from invsem import core, fixtures, morphisms
+from invsem import core, fixtures, morphisms, partial_bijections as pb
 from invsem.core import TooLarge
 
 
@@ -36,8 +36,86 @@ def test_engines_agree(catalog):
         assert [tuple(c.class_of) for c in by_part] == [tuple(c.class_of) for c in by_join]
 
 
+def canon_by_dict(class_of):
+    """Oracle: relabel classes in order of first appearance."""
+    relabel = {}
+    return np.array([relabel.setdefault(int(c), len(relabel)) for c in class_of],
+                    dtype=np.int64)
+
+
+class _UF:
+    def __init__(self, n):
+        self.p = list(range(n))
+
+    def find(self, x):
+        while self.p[x] != x:
+            self.p[x] = self.p[self.p[x]]
+            x = self.p[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.p[max(rx, ry)] = min(rx, ry)
+        return True
+
+    def labels(self):
+        return np.array([self.find(x) for x in range(len(self.p))], dtype=np.int64)
+
+
+def principal_by_worklist(S, a, b):
+    """Oracle: the least congruence identifying a and b, by a pair-closure
+    worklist over a union-find."""
+    n = S.order
+    T = S.table
+    uf = _UF(n)
+    work = [(int(a), int(b))]
+    while work:
+        x, y = work.pop()
+        if not uf.union(x, y):
+            continue
+        for s in range(n):
+            if T[s, x] != T[s, y]:
+                work.append((int(T[s, x]), int(T[s, y])))
+            if T[x, s] != T[y, s]:
+                work.append((int(T[x, s]), int(T[y, s])))
+    return canon_by_dict(uf.labels())
+
+
+def restricted_growth_strings(n):
+    """Oracle: the restricted growth strings of length n, recursively, in
+    lexicographic order."""
+    a = [0] * n
+
+    def rec(i, mx):
+        if i == n:
+            yield tuple(a)
+            return
+        for v in range(mx + 2):
+            a[i] = v
+            yield from rec(i + 1, max(mx, v))
+
+    yield from rec(1, 0)
+
+
+def compatible_by_classes(S, c):
+    """Oracle: c is a congruence iff the class of a product depends only on
+    the classes of its factors."""
+    reps = []
+    seen = {}
+    for i, x in enumerate(c):
+        if int(x) not in seen:
+            seen[int(x)] = len(reps)
+            reps.append(i)
+    lab = np.array([seen[int(x)] for x in c], dtype=np.int64)
+    reps = np.array(reps, dtype=np.int64)
+    X = lab[S.table[np.ix_(reps, reps)]]
+    return bool((lab[S.table] == X[lab[:, None], lab[None, :]]).all())
+
+
 def _naive_join(c1, c2):
-    uf = cg._UF(len(c1))
+    uf = _UF(len(c1))
     for c in (c1, c2):
         first = {}
         for i, x in enumerate(c):
@@ -45,7 +123,7 @@ def _naive_join(c1, c2):
                 uf.union(first[int(x)], i)
             else:
                 first[int(x)] = i
-    return cg._canon(uf.labels())
+    return canon_by_dict(uf.labels())
 
 
 def _naive_lattice(S):
@@ -54,7 +132,7 @@ def _naive_lattice(S):
     found = {tuple(np.arange(n))}
     for a in range(n):
         for b in range(a + 1, n):
-            found.add(tuple(cg.principal_congruence(S, a, b)))
+            found.add(tuple(principal_by_worklist(S, a, b)))
     frontier = list(found)
     while frontier:
         fresh = []
@@ -210,6 +288,100 @@ def test_principal_congruence(catalog):
     for a in range(5):
         for b in range(a + 1, 5):
             assert not cg.principal_congruence(b2, a, b).any()
+
+
+def _principal_instances(catalog):
+    out = dict(catalog)
+    out.update((name, S) for name, (S, _) in _join_lattices(catalog).items())
+    out.update((label, P.sg) for label, P in fixtures.rsd_fixtures() if P.sg.order <= 8)
+    out["I3"] = pb.symmetric_inverse_monoid(3)[0]
+    return out
+
+
+def test_principal_congruences_match_the_worklist(catalog):
+    instances = _principal_instances(catalog)
+    assert instances["I3"].order == 34
+    for name, S in instances.items():
+        a, b = np.triu_indices(S.order)     # a = b included
+        got = cg.principal_congruences(S, np.column_stack([a, b]))
+        assert got.shape == (len(a), S.order), name
+        for x, y, row in zip(a, b, got):
+            assert np.array_equal(row, principal_by_worklist(S, x, y)), (name, x, y)
+        if S.order <= 8:
+            for x, y, row in zip(a, b, got):
+                assert np.array_equal(cg.principal_congruence(S, y, x), row), (name, x, y)
+
+
+def test_growth_strings_match_the_recursion():
+    for n in range(1, 9):
+        assert cg._growth_strings(n).tolist() == [list(r) for r in restricted_growth_strings(n)]
+
+
+def test_compatibility_check_matches_the_class_oracle(catalog):
+    for name in ["chain3", "fork", "z2_zero", "clifford4", "b2", "i2"]:
+        S = catalog[name]
+        C = cg._growth_strings(S.order)
+        expect = [compatible_by_classes(S, c) for c in C]
+        assert cg._compatible(S.table, C).tolist() == expect, name
+        # relabelled by least member, as the join engine's rows are
+        assert cg._compatible(S.table, cg._least_members(C)).tolist() == expect, name
+
+
+def test_canon_matches_first_appearance():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 9, 40):
+        for _ in range(50):
+            c = rng.integers(-3, 2 * n, size=n)
+            assert np.array_equal(cg._canon(c), canon_by_dict(c))
+            assert cg._canon(c).dtype == np.int64
+
+
+def test_engines_do_not_depend_on_the_block_size(catalog, monkeypatch):
+    S, count = _join_lattices(catalog)["forkxchain3"]
+    expect = [tuple(c.class_of) for c in cg.enumerate_congruences(S, method="generated")]
+    principals = cg.principal_congruences(S, np.argwhere(np.ones((S.order, S.order))))
+    fork = catalog["fork"]
+    scan = [tuple(c.class_of) for c in cg.enumerate_congruences(fork, method="partitions")]
+    for cells in (1, 144, 1000, 5000):
+        monkeypatch.setattr(core, "BLOCK_CELLS", cells)
+        got = [tuple(c.class_of) for c in cg.enumerate_congruences(S, method="generated")]
+        assert got == expect and len(got) == count
+        assert np.array_equal(
+            cg.principal_congruences(S, np.argwhere(np.ones((S.order, S.order)))), principals)
+        assert [tuple(c.class_of) for c in
+                cg.enumerate_congruences(fork, method="partitions")] == scan
+
+
+_JOINS_UNDER_A_CAP = """
+import hashlib, resource, sys
+import numpy as np
+resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from invsem import congruences as cg, core, fixtures, partial_bijections as pb
+I3 = pb.symmetric_inverse_monoid(3)[0]
+print(sorted(tuple(cg._canon(c).tolist()) for c in cg._enumerate_by_joins(I3)))
+chain4 = fixtures.catalog()["chain4"]
+found = cg.enumerate_congruences(core.direct_product(chain4, chain4), "generated")
+h = hashlib.sha256()
+for c in found:
+    h.update(np.asarray(c.class_of, dtype=np.int64).tobytes())
+print(len(found), h.hexdigest())
+"""
+
+
+def test_join_engine_fits_under_an_address_space_cap(catalog):
+    # I3 (order 34) is past GENERATED_BOUND, so its engine is called directly
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", _JOINS_UNDER_A_CAP], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    lattice, chain4_squared = out.stdout.splitlines()
+    I3 = pb.symmetric_inverse_monoid(3)[0]
+    assert I3.order == 34 > cg.GENERATED_BOUND
+    naive = _naive_lattice(I3)
+    assert len(naive) == 7 and lattice == str(sorted(tuple(map(int, c)) for c in naive))
+    # the digest of the ordered list from the engine of merged class labels
+    assert chain4_squared == ("3451 cb3804dd2d8adbfd3e757bbae6e431ef"
+                              "b980c50c4368595e2993f400f13d1001")
 
 
 def test_related_classes_reps(catalog):

@@ -84,6 +84,79 @@ def test_witness_middle_need_not_be_a_generator():
     assert_validate_agrees_with_cube(T)
 
 
+def assoc_witness_by_rows(T):
+    """Oracle: Light's test on the greedy generators alone, then a scan of
+    the rows, in order, for the least witness; the whole cube is never read."""
+    if all((T[T[:, a]] == T[:, T[a]]).all() for a in core._light_generators(T)):
+        return None
+    for a in range(len(T)):
+        left = T[T[a]]
+        right = T[a][T]
+        if not np.array_equal(left, right):
+            b, c = np.argwhere(left != right)[0]
+            return (a, int(b), int(c))
+    raise AssertionError("Light's test failed on an associative table")
+
+
+def cell_corruptions(T, count, seed):
+    """`count` copies of T, each with one cell (all of them, when count is
+    None) moved to another value."""
+    n = len(T)
+    rng = np.random.default_rng(seed)
+    cells = [(i, j) for i in range(n) for j in range(n)] if count is None else \
+        [tuple(rng.integers(n, size=2)) for _ in range(count)]
+    for i, j in cells:
+        bad = np.array(T)
+        bad[i, j] = (bad[i, j] + 1 + rng.integers(max(1, n - 1))) % n
+        yield bad
+
+
+def _threshold_tables(catalog):
+    """Tables on both sides of the whole-cube threshold n^3 <= CUBE_CELLS."""
+    tables = [fixtures._min_table(n) for n in (49, 50, 51, 52)]
+    i2 = catalog["i2"]
+    tables += [direct_product(i2, i2).table,
+               direct_product(i2, direct_product(catalog["chain2"], catalog["chain4"])).table]
+    return [np.asarray(T, dtype=np.min_scalar_type(len(T) - 1)) for T in tables]
+
+
+def test_whole_cube_witness_matches_the_row_scan(catalog):
+    tables = _threshold_tables(catalog)
+    assert {len(T) ** 3 <= core.CUBE_CELLS for T in tables} == {True, False}
+    small = [S.table for S in catalog.values()]
+    for T in small:
+        assert core._assoc_witness(T) is None is assoc_witness_by_rows(T)
+        for bad in cell_corruptions(T, None, 0):
+            assert core._assoc_witness(bad) == assoc_witness_by_rows(bad)
+    for T in tables:
+        assert core._assoc_witness(T) is None is assoc_witness_by_rows(T)
+        for bad in cell_corruptions(T, 40, len(T)):
+            assert core._assoc_witness(bad) == assoc_witness_by_rows(bad)
+
+
+_WITNESSES = """
+import sys
+import numpy as np
+from invsem import core
+tables = np.load(sys.argv[1], allow_pickle=True)
+print([core._assoc_witness(T) for T in tables])
+"""
+
+
+def test_whole_cube_witness_survives_python_O(catalog, tmp_path):
+    tables = [bad for T in _threshold_tables(catalog) for bad in cell_corruptions(T, 5, 1)]
+    path = tmp_path / "tables.npy"
+    stack = np.empty(len(tables), dtype=object)
+    stack[:] = tables
+    np.save(path, stack, allow_pickle=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", _WITNESSES, str(path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    expect = [assoc_witness_by_rows(T) for T in tables]
+    assert any(w is not None for w in expect)
+    assert out == f"{expect}\n"
+
+
 @pytest.mark.parametrize("k, t, n, in_index_order, from_top", [
     ("chain2", "i2", 290, 282, 7),
     ("chain4", "chain4", 340, 340, 16),
@@ -320,10 +393,34 @@ def test_generated_subsemigroup():
     assert generated_subsemigroup(S, {e}) == {e}
 
 
+def subsemigroup_by_sets(S, members):
+    """Oracle: the reindexed table of a closed subset, or the ValueError's
+    message naming the least product outside it."""
+    elems = sorted(set(int(x) for x in members))
+    pos = {x: i for i, x in enumerate(elems)}
+    sub_table = S.table[np.ix_(elems, elems)]
+    bad = set(int(x) for x in sub_table.ravel()) - set(pos)
+    if bad:
+        return f"subset not closed under product, e.g. produces {sorted(bad)[0]}"
+    return [[pos[int(x)] for x in row] for row in sub_table]
+
+
 def test_subsemigroup_rejects_unclosed(catalog):
     S = catalog["z3"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="produces 2$"):
         core.subsemigroup(S, [1])
+    for name in ["chain3", "fork", "z2_zero", "clifford4", "b2", "i2"]:
+        S = catalog[name]
+        for mask in range(1, 2 ** S.order):
+            members = [x for x in range(S.order) if mask >> x & 1]
+            expect = subsemigroup_by_sets(S, members)
+            if isinstance(expect, str):
+                with pytest.raises(ValueError) as e:
+                    core.subsemigroup(S, members)
+                assert str(e.value) == expect, (name, members)
+            elif set(S.inv[members].tolist()) <= set(members):
+                sub, elems = core.subsemigroup(S, members)
+                assert sub.table.tolist() == expect and elems.tolist() == members
 
 
 def test_direct_product(catalog):
