@@ -265,7 +265,8 @@ class KernelAction:
     product: object
     kernel: InverseSemigroup
     product_indices: np.ndarray     # kernel element -> index in the ambient product
-    pairs: tuple                    # kernel element -> (a, t) pair
+    pairs: np.ndarray               # kernel element -> its (a, t) row
+    pairdex: np.ndarray             # (a, t) -> kernel element, -1 off the kernel
     action: EndoAction
     eps: EpsilonMap
 
@@ -280,18 +281,19 @@ def induced_kernel_action(P):
     theta = congruences.congruence_from_map(P.sg, P.pi2.map)
     members = congruences.kernel(theta)
     Ksub, kelems = core.subsemigroup(P.sg, members.members)
-    pairs = tuple(P.elements[int(i)] for i in kelems)
-    pos = {p: j for j, p in enumerate(pairs)}
-    act = np.empty((T.order, len(pairs)), dtype=np.int64)
-    for t in range(T.order):
-        for j, (a, e) in enumerate(pairs):
-            target = (int(P.action.act[t, a]), int(T.rans[T.table[t, e]]))
-            if target not in pos:
-                raise LawViolated("kernel is not closed under the induced action", (t, (a, e)))
-            act[t, j] = pos[target]
+    pairs = P.elements[kelems]
+    A, E = pairs.T
+    pairdex = np.full(P.pairdex.shape, -1, dtype=np.int64)
+    pairdex[A, E] = np.arange(len(pairs))
+    # t sends the kernel pair (a, e) to (t.a, ran(te))
+    act = pairdex[P.action.act[:, A], T.rans[T.table[:, E]]]
+    if (act < 0).any():
+        t, j = (int(i) for i in np.argwhere(act < 0)[0])
+        raise LawViolated("kernel is not closed under the induced action",
+                          (t, tuple(pairs[j].tolist())))
     action = validate_action(T, Ksub, act)
-    eps = validate_eps(Ksub, T, np.array([e for (_, e) in pairs], dtype=np.int64))
-    return KernelAction(P, Ksub, kelems, pairs, action, eps)
+    eps = validate_eps(Ksub, T, E)
+    return KernelAction(P, Ksub, kelems, pairs, pairdex, action, eps)
 
 
 def _mixed_radix(idx, width, base):

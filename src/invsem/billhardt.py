@@ -153,16 +153,6 @@ def split_closure_check(tr):
     return out
 
 
-def chosen_are_dominant_reps(tr):
-    """Restated dominance: each chosen pair is a dom-maximum of its fiber
-    inside the generated part."""
-    he = tr.he
-    sbar = sbar_members(tr)
-    leq = he.sg.leq
-    doms = he.sg.doms
-    return all(leq[doms[w], doms[tr.xi[int(he.down[w])]]] for w in sbar)
-
-
 def classify_classical(tr):
     """Inner-valued transversals witness the stronger classical property."""
     inner = set(int(i) for i in tr.he.pi_member)
@@ -289,8 +279,38 @@ def theorem310_forward(P, he=None):
     return tr
 
 
+def _require(bad, reason, label=lambda *cell: cell):
+    """Raise TransversalInvalid at the least cell of the mask bad, labelled."""
+    if bad.any():
+        raise TransversalInvalid(reason, label(*(int(i) for i in np.argwhere(bad)[0])))
+
+
+def _require_injective(m, what):
+    """Raise TransversalInvalid at the least element whose image repeats."""
+    repeat = np.ones(len(m.map), dtype=bool)
+    repeat[np.unique(m.map, return_index=True)[1]] = False
+    _require(repeat, f"{what} is not injective")
+
+
 def _inner_element_of(he):
-    return {int(he.pi_member[s]): s for s in range(he.S.order)}
+    """Member position -> the element of S whose inner pair it is, -1 if none."""
+    out = np.full(he.sg.order, -1, dtype=np.int64)
+    out[he.pi_member] = np.arange(he.S.order)
+    return out
+
+
+def _kernel(S, theta):
+    """Ker theta as a subsemigroup, its elements, and each element's index
+    in it: -1 outside it, and at one spare last slot, so that -1 maps to -1."""
+    Ksub, kelems = core.subsemigroup(S, sorted(congruences.kernel(theta).members))
+    kpos = np.full(S.order + 1, -1, dtype=np.int64)
+    kpos[kelems] = np.arange(len(kelems))
+    return Ksub, kelems, kpos
+
+
+def _translations(he, positions, side):
+    """The left or right translations of the members at positions, one row each."""
+    return np.array([getattr(he.member_bitr(int(i)), side) for i in positions])
 
 
 def theorem310_backward(S, theta, tr):
@@ -302,43 +322,27 @@ def theorem310_backward(S, theta, tr):
         raise NotSplit("a multiplicative transversal is required")
     validate_transversal(tr)
     Q, qmap = he.Q, he.qmap
-    kelems_set = congruences.kernel(theta).members
-    Ksub, kelems = core.subsemigroup(S, sorted(kelems_set))
-    kpos = {int(a): i for i, a in enumerate(kelems)}
+    Ksub, kelems, kpos = _kernel(S, theta)
     elt_of = _inner_element_of(he)
-    tab = he.sg.table
-    inv_xi = he.sg.inv[tr.xi]
-
-    act = np.empty((Q.order, Ksub.order), dtype=np.int64)
-    for t in range(Q.order):
-        w = tr.xi_pair(t)
-        winv = he.member_bitr(int(inv_xi[t]))
-        for i, a in enumerate(kelems):
-            pos = int(tab[tab[tr.xi[t], he.pi_member[a]], inv_xi[t]])
-            moved = elt_of[pos]
-            # conjugating the inner pair equals translating the element
-            assert moved == int(w.left[winv.right[a]])
-            act[t, i] = kpos[moved]
-    action = actions.validate_action(Q, Ksub, act)
+    L = _translations(he, tr.xi, "left")
+    Rinv = _translations(he, he.sg.inv[tr.xi], "right")
+    # t moves a to the element whose inner pair is xi(t) pi_a xi(t)^-1,
+    # which is also the translate of a by xi(t)^-1 and then xi(t)
+    q = np.arange(Q.order)[:, None]
+    moved = elt_of[_transversal_conjugate(tr, q, kelems, q)]
+    _require(moved != L[q, Rinv[q, kelems]], "conjugation differs from translation",
+             lambda t, j: (t, int(kelems[j])))
+    action = actions.validate_action(Q, Ksub, kpos[moved])
     eps = actions.validate_eps(Ksub, Q, qmap[kelems])
-    ok, w_afr = actions.check_AFR(action, eps)
-    if not ok:
-        raise actions.AFRViolated(w_afr)
     prod = products.build_rsd(Ksub, Q, action, eps)
-
-    values = np.empty(S.order, dtype=np.int64)
-    for s in range(S.order):
-        t = int(qmap[s])
-        pos = int(tab[he.pi_member[s], inv_xi[t]])
-        a_s = elt_of[pos]
-        winv = he.member_bitr(int(inv_xi[t]))
-        assert a_s == int(winv.right[s])
-        values[s] = prod.index[(kpos[a_s], t)]
-    phi = morphisms.is_homomorphism(values, S, prod.sg)
-    assert phi.bijective
-    sol_src = morphisms.ExtensionSolution(S, theta)
-    sol_dst = morphisms.ExtensionSolution(prod.sg, products.pi2_congruence(prod))
-    assert morphisms.solution_embedding(phi, sol_src, sol_dst, iso=True)
+    # s is the pair (a, t) with a = s xi(t)^-1, a kernel element
+    a = elt_of[he.sg.table[he.pi_member, he.sg.inv[tr.xi[qmap]]]]
+    _require((a != Rinv[qmap, np.arange(S.order)]) | (kpos[a] < 0),
+             "kernel part is not the translate by xi(t)^-1")
+    phi = morphisms.is_homomorphism(prod.pairdex[kpos[a], qmap], S, prod.sg)
+    _require(np.bincount(phi.map, minlength=prod.sg.order) != 1, "phi is not bijective")
+    _require(congruences._canon(prod.pi2.map[phi.map]) != congruences._canon(theta.class_of),
+             "phi does not carry the classes of theta onto the fibers of pi2")
     return prod, phi
 
 
@@ -353,23 +357,22 @@ class WreathEmbedding:
 
 
 def _transversal_conjugate(tr, A, s, B):
-    """The element whose inner pair is xi(A) . pi_s . xi(B)^-1."""
+    """The member xi(A) . pi_s . xi(B)^-1, elementwise over arrays."""
     he = tr.he
     tab = he.sg.table
-    pos = int(tab[tab[tr.xi[A], he.pi_member[s]], he.sg.inv[tr.xi[B]]])
-    return pos
+    return tab[tab[tr.xi[A], he.pi_member[s]], he.sg.inv[tr.xi[B]]]
 
 
 def recovery_identity_holds(tr, s, printed_variant=False):
-    """Pull the embedded element back out of its class-restricted map."""
+    """Pull the embedded element back out of its class-restricted map,
+    elementwise over an array s."""
     he = tr.he
     tab = he.sg.table
-    t = int(he.qmap[s])
-    u = int(he.Q.rans[t])
-    f_u = _transversal_conjugate(tr, u, s, int(he.Q.table[u, t]))
+    t = he.qmap[s]
+    u = he.Q.rans[t]
+    f_u = _transversal_conjugate(tr, u, s, he.Q.table[u, t])
     last = he.sg.inv[tr.xi[t]] if printed_variant else tr.xi[t]
-    pos = int(tab[tab[he.sg.inv[tr.xi[u]], f_u], last])
-    return pos == int(he.pi_member[s])
+    return tab[tab[he.sg.inv[tr.xi[u]], f_u], last] == he.pi_member[s]
 
 
 def thm42_embedding(S, theta, tr):
@@ -379,62 +382,51 @@ def thm42_embedding(S, theta, tr):
     assert he.S is S and he.theta == theta
     validate_transversal(tr)
     Q, qmap = he.Q, he.qmap
-    kelems_set = congruences.kernel(theta).members
-    Ksub, kelems = core.subsemigroup(S, sorted(kelems_set))
-    kpos = {int(a): i for i, a in enumerate(kelems)}
-    elt_of = _inner_element_of(he)
+    Ksub, kelems, kpos = _kernel(S, theta)
     triple = morphisms.make_triple(Ksub, Q, qmap[kelems])
-
     hwe = products.build_hwr_eta(triple)
     peta = hwe.pkt
 
-    f_elements = {}
+    # f[s, x]: the element whose inner pair is xi(xu) pi_s xi(xt)^-1, for
+    # s over t with u = ran t; on the ideal Qu, xu = x and f is s's map
+    s = np.arange(S.order)[:, None]
+    U = Q.rans[qmap]
+    A = Q.table[np.arange(Q.order), U[:, None]]
+    B = Q.table[np.arange(Q.order), qmap[:, None]]
+    f = _inner_element_of(he)[_transversal_conjugate(tr, A, s, B)]
+    digits = kpos[f]
+    _require(digits < 0, "conjugate is not an inner kernel element")
+    ideal = A == np.arange(Q.order)
+    L = _translations(he, tr.xi, "left")
+    Rinv = _translations(he, he.sg.inv[tr.xi], "right")
+    # the two one-sided application orders agree
+    _require(ideal & ((f != L[A, Rinv[B, s]]) | (f != Rinv[B, L[A, s]])),
+             "one-sided application orders disagree")
+    _require(ideal & (qmap[f] != Q.rans[A]), "value outside the kernel fiber over ran(x)")
+    _require(~recovery_identity_holds(tr, s[:, 0]), "recovery identity fails")
+    f_elements = {(i, x): int(f[i, x]) for i, x in np.argwhere(ideal).tolist()}
     psi_vals = np.empty(S.order, dtype=np.int64)
-    for s in range(S.order):
-        t = int(qmap[s])
-        u = int(Q.rans[t])
-        vals = []
-        for x in peta.ctx.ideals[u]:
-            B = int(Q.table[x, t])
-            pos = _transversal_conjugate(tr, x, s, B)
-            elt = elt_of[pos]
-            # the two one-sided application orders agree
-            wA = tr.xi_pair(x)
-            wB = he.member_bitr(int(he.sg.inv[tr.xi[B]]))
-            assert elt == int(wA.left[wB.right[s]]) == int(wB.right[wA.left[s]])
-            # the value lands in the kernel fiber over ran(x)
-            assert int(qmap[elt]) == int(Q.rans[x])
-            f_elements[(s, int(x))] = elt
-            vals.append(kpos[elt])
-        pfe = products.PartialFunctionElement(u, tuple(vals))
-        psi_vals[s] = hwe.index[(peta.index[pfe], t)]
-        assert recovery_identity_holds(tr, s)
+    for u, X in peta.ideals.items():
+        rows = np.flatnonzero(U == u)
+        psi_vals[rows] = hwe.rsd.pairdex[peta.encode(u, digits[rows][:, X]), qmap[rows]]
     psi = morphisms.is_homomorphism(psi_vals, S, hwe.sg)
-    assert psi.injective
+    _require_injective(psi, "psi")
 
     try:
         hwr_plain = products.build_hwr(Ksub, Q)
         lwr = products.build_lwr(Ksub, Q)
     except TooLarge:
         return WreathEmbedding(triple, hwe, psi, f_elements, None, None)
-    phi_vals = np.empty(S.order, dtype=np.int64)
-    for s in range(S.order):
-        t = int(qmap[s])
-        u = int(Q.rans[t])
-        digits = np.empty(Q.order, dtype=np.int64)
-        for x in range(Q.order):
-            A = int(Q.table[x, u])
-            B = int(Q.table[x, t])
-            digits[x] = kpos[elt_of[_transversal_conjugate(tr, A, s, B)]]
-        phi_vals[s] = lwr.index[(int(digits @ lwr.weights), t)]
-    phi = morphisms.is_homomorphism(phi_vals, S, lwr.sg)
-    assert phi.injective
+    phi = morphisms.is_homomorphism(lwr.lsd.pairdex[digits @ lwr.weights, qmap], S, lwr.sg)
+    _require_injective(phi, "phi")
     restrict = products.Psi_remark(lwr, hwr_plain)
     # the two routes must land on the same map, compared by value
-    route_consistent = True
-    for s in range(S.order):
-        p, t = hwr_plain.elements[restrict.map[phi.map[s]]]
-        lp, u = hwe.elements[psi.map[s]]
-        if (hwr_plain.pkt.elements[p], t) != (peta.elements[lp], u):
-            route_consistent = False
-    return WreathEmbedding(triple, hwe, psi, f_elements, phi, route_consistent)
+    p, t = hwr_plain.elements[restrict.map[phi.map]].T
+    lp, u = hwe.elements[psi.map].T
+    e = peta.eps.map[lp]
+    same = (t == u) & (hwr_plain.pkt.eps.map[p] == e)
+    for g in peta.ideals:
+        rows = np.flatnonzero(same & (e == g))
+        same[rows] = (hwr_plain.pkt.values[g][p[rows] - hwr_plain.pkt.blocks[g][0]]
+                      == peta.values[g][lp[rows] - peta.blocks[g][0]]).all(axis=1)
+    return WreathEmbedding(triple, hwe, psi, f_elements, phi, bool(same.all()))

@@ -267,7 +267,7 @@ def cmd_product(args):
     else:
         P = products.build_lwr(K, T)
     out = core.as_dict(P.sg, array=np.asarray)
-    out["elements"] = [list(p) for p in P.elements]
+    out["elements"] = P.elements
     out["provenance"] = {
         "construction": args.kind,
         "k": report.digests[args.k],

@@ -69,10 +69,6 @@ def is_homomorphism(values, S, S2):
     return Morphism(S, S2, m, inj, surj)
 
 
-def identity_morphism(S):
-    return Morphism(S, S, np.arange(S.order), True, True)
-
-
 def _profiles(S):
     n = S.order
     idem = np.zeros(n, dtype=np.int64)

@@ -144,11 +144,3 @@ def generate(degree, gens):
         frontier = sorted(fresh)
     bijections = [PartialBijection(degree, g) for g in sorted(known, key=known.get)]
     return _table_of(bijections)
-
-
-def pb_as_dict(b):
-    return {"degree": b.degree, "graph": [[x, v] for x, v in enumerate(b.graph) if v != UNDEF]}
-
-
-def pb_from_dict(d):
-    return from_pairs(d["degree"], d.get("graph", []))

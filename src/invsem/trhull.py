@@ -210,13 +210,6 @@ def naive_hull(S):
     return _hull_from_pairs(S, pairs)
 
 
-def canonical_pi(hull):
-    """The inner embedding s -> pi_s, injective for inverse semigroups."""
-    phi = morphisms.is_homomorphism(hull.inner_of, hull.S, hull.sg)
-    assert phi.injective
-    return phi
-
-
 def inner_is_ideal(hull):
     """Products of anything with an inner pair stay inner."""
     inner_set = set(int(i) for i in hull.inner_of)
@@ -372,13 +365,12 @@ def omega_bracket(P, t):
     """The pair on a restricted product that multiplies the T part by t."""
     T = P.T
     act = P.action.act
-    m = len(P.elements)
-    lam = np.empty(m, dtype=np.int64)
-    rho = np.empty(m, dtype=np.int64)
-    for i, (x, u) in enumerate(P.elements):
-        lam[i] = P.index[(int(act[t, x]), int(T.table[t, u]))]
-        ut = int(T.table[u, t])
-        rho[i] = P.index[(int(act[T.rans[ut], x]), ut)]
+    X, U = P.elements.T
+    ut = T.table[U, t]
+    lam = P.pairdex[act[t, X], T.table[t, U]]
+    rho = P.pairdex[act[T.rans[ut], X], ut]
+    if (lam < 0).any() or (rho < 0).any():
+        raise ValueError(f"the shift by {t} leaves the carrier")
     return Bitranslation(P.sg, lam, rho)
 
 
@@ -441,13 +433,11 @@ def shift_order_and_conjugation_check(P):
                 continue
             if not natural_leq_bitr(inner(P.sg, int(P.sg.doms[i])), dom_w):
                 out["dom_dominates"] = False
+    kernel = np.flatnonzero(T.rans[P.elements[:, 1]] == P.elements[:, 1])
+    C, E = P.elements[kernel].T
     for t in range(T.order):
         w, winv = ws[t], inverse_bitr(ws[t])
-        for i, (c, e) in enumerate(P.elements):
-            if not T.is_idempotent(e):
-                continue
-            moved = int(winv.right[w.left[i]])
-            target = P.index[(int(act[t, c]), int(T.rans[T.table[t, e]]))]
-            if moved != target:
-                out["conjugation"] = False
+        moved = winv.right[w.left[kernel]]
+        if not np.array_equal(moved, P.pairdex[act[t, C], T.rans[T.table[t, E]]]):
+            out["conjugation"] = False
     return out

@@ -441,6 +441,5 @@ def test_induced_kernel_action(rsd_fixtures):
         ka = ac.induced_kernel_action(P)
         assert ac.check_AFR(ka.action, ka.eps)[0], name
         # the pairs are exactly the product elements in kernel positions
-        for j, idx in enumerate(ka.product_indices):
-            assert P.elements[int(idx)] == ka.pairs[j]
-        assert np.array_equal(ka.eps.map, np.array([e for (_, e) in ka.pairs]))
+        assert np.array_equal(P.elements[ka.product_indices], ka.pairs), name
+        assert np.array_equal(ka.eps.map, ka.pairs[:, 1]), name

@@ -1,5 +1,10 @@
+import dataclasses
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,15 @@ from invsem import congruences as cg
 from invsem import core, morphisms as mo, products as pr, trhull as th
 from invsem.core import TooLarge
 from invsem.fixtures import sweep_names
+
+
+def chosen_are_dominant_reps(tr):
+    """Restated dominance: each chosen pair is a dom-maximum of its fiber
+    inside the generated part."""
+    he = tr.he
+    leq = he.sg.leq
+    doms = he.sg.doms
+    return all(leq[doms[w], doms[tr.xi[int(he.down[w])]]] for w in bh.sbar_members(tr))
 
 
 def _xis(transversals):
@@ -92,7 +106,7 @@ def test_inner_valued_cases_are_classical(catalog):
                 assert int(S.table[a, b]) in reps, name
         got = bh.split_closure_check(tr)
         assert all(got.values()), name
-        assert bh.chosen_are_dominant_reps(tr), name
+        assert chosen_are_dominant_reps(tr), name
 
 
 def test_validate_rejections(catalog):
@@ -167,6 +181,43 @@ def test_wreath_embedding(catalog):
     he = tr.he
     for (s, x), elt in emb.f_elements.items():
         assert int(he.qmap[elt]) == int(Q.rans[x])
+
+
+_MISPLACED_PAIRS = """
+import dataclasses
+import numpy as np
+from invsem import billhardt, congruences, fixtures
+b2 = fixtures.catalog()["b2"]
+diag = congruences.diagonal(b2)
+tr = billhardt.find_transversal(b2, diag, want_split=True)
+he = dataclasses.replace(tr.he, members=np.roll(tr.he.members, 1))
+for rebuild in (billhardt.theorem310_backward, billhardt.thm42_embedding):
+    try:
+        rebuild(b2, diag, billhardt.Transversal(he, tr.xi, True))
+    except billhardt.TransversalInvalid as exc:
+        print(exc.witness, exc)
+"""
+
+
+def test_rebuild_verdicts_survive_python_O(catalog):
+    # rolling the member positions hands each member the pair of its
+    # neighbour: the transversal axioms, read off the hull table, still
+    # hold, but the pairs no longer translate as their table entries do
+    b2 = catalog["b2"]
+    diag = cg.diagonal(b2)
+    tr = bh.find_transversal(b2, diag, want_split=True)
+    he = dataclasses.replace(tr.he, members=np.roll(tr.he.members, 1))
+    bad = bh.Transversal(he, tr.xi, True)
+    with pytest.raises(bh.TransversalInvalid, match="conjugation differs") as e1:
+        bh.theorem310_backward(b2, diag, bad)
+    assert e1.value.witness == (1, 1)
+    with pytest.raises(bh.TransversalInvalid, match="one-sided application orders") as e2:
+        bh.thm42_embedding(b2, diag, bad)
+    assert e2.value.witness == (1, 1)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", _MISPLACED_PAIRS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "".join(f"{e.value.witness} {e.value}\n" for e in (e1, e2))
 
 
 def test_wreath_embedding_point_quotient(catalog):

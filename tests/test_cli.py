@@ -578,4 +578,19 @@ def test_eta_wreath_over_the_cap_exits_3(tmp_path, catalog):
         assert out.returncode == 3, out.stderr[-2000:]
         check, = json.loads(out.stdout)["checks"]
         assert check["name"] == "within-bounds"
-        assert check["witness"] == {"what": "wreath order", "size": 49152, "bound": 20000}
+        assert check["witness"] == {"what": "wreath order", "size": 49152, "bound": 4096}
+
+
+def test_wreath_under_the_old_cap_exits_3(tmp_path, catalog):
+    # chain2 by Z10 has wreath order 10 * 2^10 = 10,240: its pair product
+    # would need several 800 MiB arrays, so it is refused before any table
+    k = inst(tmp_path, "chain2.json", catalog["chain2"])
+    z10 = [[(a + b) % 10 for b in range(10)] for a in range(10)]
+    t = write(tmp_path, "z10.json", {"order": 10, "table": z10})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-m", "invsem", "product", "hwr", "--json",
+                          "--k", k, "--t", t], env=env, capture_output=True,
+                         text=True, preexec_fn=_limit_address_space, timeout=300)
+    assert out.returncode == 3, out.stderr[-2000:]
+    check, = json.loads(out.stdout)["checks"]
+    assert check["witness"] == {"what": "wreath order", "size": 10240, "bound": 4096}

@@ -19,7 +19,7 @@ def test_lsd_meet_action_carrier(catalog):
     chain2 = catalog["chain2"]
     meet = ac.validate_action(chain2, chain2, [[0, 0], [0, 1]])
     P = pr.build_lsd(chain2, chain2, meet)
-    assert P.elements == ((0, 0), (0, 1), (1, 1))
+    assert P.elements.tolist() == [[0, 0], [0, 1], [1, 1]]
     assert mo.isomorphism_search(P.sg, catalog["chain3"]) is not None
 
 
@@ -69,10 +69,45 @@ def test_quotient_by_second_projection(rsd_fixtures):
 def test_unrestricted_rebuilds_as_restricted(lsd_fixtures):
     for name, P in lsd_fixtures:
         psi, rsd, ka = pr.psi_lemma21(P)
-        pos = {p: j for j, p in enumerate(ka.pairs)}
-        for i, (a, t) in enumerate(P.elements):
+        pos = {p: j for j, p in enumerate(map(tuple, ka.pairs.tolist()))}
+        for i, (a, t) in enumerate(P.elements.tolist()):
             j = pos[(a, int(P.T.rans[t]))]
-            assert rsd.elements[int(psi.map[i])] == (j, t), name
+            assert rsd.elements[int(psi.map[i])].tolist() == [j, t], name
+
+
+class PFunContext:
+    """The oracle for build_pkt, one map at a time: a map is a pair
+    (e, values) of an idempotent e and its values on the ideal Te."""
+
+    def __init__(self, K, T):
+        self.K = K
+        self.T = T
+        self.ideals = {e: tuple(sorted({int(x) for x in T.table[:, e]})) for e in T.idempotents}
+        self.pos = {e: {x: i for i, x in enumerate(ideal)} for e, ideal in self.ideals.items()}
+
+    def apply(self, al, x):
+        e, values = al
+        return values[self.pos[e][int(x)]]
+
+    def oplus(self, al, be):
+        """Pointwise product on the intersection of the two ideals."""
+        e = int(self.T.table[al[0], be[0]])
+        return e, tuple(int(self.K.table[self.apply(al, x), self.apply(be, x)])
+                        for x in self.ideals[e])
+
+    def act(self, t, al):
+        """Precompose with right multiplication by t; the ideal moves to ran(t e)."""
+        Tt = self.T.table
+        e2 = int(self.T.rans[Tt[t, al[0]]])
+        return e2, tuple(self.apply(al, Tt[x, t]) for x in self.ideals[e2])
+
+    def inv(self, al):
+        return al[0], tuple(int(self.K.inv[v]) for v in al[1])
+
+
+def _decoded(pkt):
+    """Each element of the power as (e, values on Te), in element order."""
+    return [(e, tuple(row)) for e in pkt.blocks for row in pkt.values[e].tolist()]
 
 
 def test_pfun_objectwise_laws(catalog):
@@ -80,21 +115,22 @@ def test_pfun_objectwise_laws(catalog):
     for kn, tn in [("z2", "chain2"), ("chain2", "chain3"), ("z2", "z2_zero")]:
         K, T = catalog[kn], catalog[tn]
         pkt = pr.build_pkt(K, T)
-        ctx = pkt.ctx
+        ctx = PFunContext(K, T)
+        assert {e: tuple(x.tolist()) for e, x in pkt.ideals.items()} == ctx.ideals
         # the default fibers give every map Te -> K, in lexicographic order
-        assert pkt.elements == tuple(
-            pr.PartialFunctionElement(e, v) for e in sorted(T.idempotents)
-            for v in itertools.product(range(K.order), repeat=len(ctx.ideals[e])))
-        n = pkt.sg.order
-        for i in range(n):
-            al = pkt.elements[i]
-            assert pkt.eps.map[i] == al.domain_generator
-            assert pkt.index[ctx.inv(al)] == pkt.sg.inv[i]
-            for j in range(n):
-                be = pkt.elements[j]
-                assert pkt.index[ctx.oplus(al, be)] == pkt.sg.table[i, j]
+        elements = _decoded(pkt)
+        assert elements == [(e, v) for e in sorted(T.idempotents)
+                            for v in itertools.product(range(K.order), repeat=len(ctx.ideals[e]))]
+        assert pkt.eps.map.tolist() == [e for e, _ in elements]
+        index = {al: i for i, al in enumerate(elements)}
+        for e, (off, count) in pkt.blocks.items():
+            assert pkt.encode(e, pkt.values[e]).tolist() == list(range(off, off + count))
+        for i, al in enumerate(elements):
+            assert index[ctx.inv(al)] == pkt.sg.inv[i]
+            for j, be in enumerate(elements):
+                assert index[ctx.oplus(al, be)] == pkt.sg.table[i, j]
             for t in range(T.order):
-                assert pkt.index[ctx.act(t, al)] == pkt.action.act[t, i]
+                assert index[ctx.act(t, al)] == pkt.action.act[t, i]
 
 
 def test_pkt_satisfies_fixed_range(catalog):
@@ -138,9 +174,8 @@ def _p_eta_by_filter(triple):
     with mock.patch.object(pr, "WREATH_CAP", ORACLE_CAP):
         pkt = pr.build_pkt(triple.K, T)
     allowed = T.rans[:, None] == triple.eta_in_t[None, :]      # [x, a]
-    members = [i for i, al in enumerate(pkt.elements)
-               if all(allowed[x, v] for x, v in
-                      zip(pkt.ctx.ideals[al.domain_generator], al.values))]
+    members = [i for i, (e, values) in enumerate(_decoded(pkt))
+               if all(allowed[x, v] for x, v in zip(pkt.ideals[e].tolist(), values))]
     sub, pelems = core.subsemigroup(pkt.sg, members)
     pos = {int(p): i for i, p in enumerate(pelems)}
     act = np.vectorize(pos.__getitem__, otypes=[np.int64])(pkt.action.act[:, pelems])
@@ -162,13 +197,14 @@ def test_range_compatible_power(catalog, rsd_fixtures):
         peta = pr.build_p_eta(triple)
         # over e it is the direct product of the kernel classes over ran(x), x in Te
         fiber = np.bincount(triple.eta_in_t, minlength=T.order)
-        assert peta.sg.order == sum(math.prod(int(fiber[T.rans[x]]) for x in peta.ctx.ideals[e])
+        assert peta.sg.order == sum(math.prod(int(fiber[T.rans[x]]) for x in peta.ideals[e])
                                     for e in T.idempotents), label
         try:
             pkt, pelems, sub, act = _p_eta_by_filter(triple)
         except TooLarge:
             continue
-        assert peta.elements == tuple(pkt.elements[p] for p in pelems), label
+        whole = _decoded(pkt)
+        assert _decoded(peta) == [whole[p] for p in pelems], label
         assert np.array_equal(peta.sg.table, sub.table), label
         assert np.array_equal(peta.sg.inv, sub.inv), label
         assert peta.sg.idempotents == sub.idempotents, label
@@ -202,7 +238,7 @@ fake = core.InverseSemigroup(z2.base, np.array([0, 0]), z2.idempotents)
 for build in (lambda: products.build_pkt(z2, trivial, [np.array([1])]),
               lambda: products._build_pair_product(
                   z2, trivial, actions.validate_action(trivial, z2, [[0, 1]]),
-                  ((1, 0),), restricted=False),
+                  None, np.array([[False], [True]])),
               lambda: products.build_lwr(fake, trivial),
               lambda: products.build_lsd(
                   trivial, trivial, actions.validate_action(trivial, z2, [[0, 1]]))):
@@ -221,7 +257,7 @@ def test_verdicts_survive_python_O(catalog):
     assert e1.value.witness == {"operands": (0, 0), "point": 0, "value": 0}
     with pytest.raises(pr.ProductInvalid, match="carrier not closed") as e2:
         pr._build_pair_product(z2, trivial, ac.validate_action(trivial, z2, [[0, 1]]),
-                               ((1, 0),), restricted=False)
+                               None, np.array([[False], [True]]))
     assert e2.value.witness == ((1, 0), (1, 0))
     # Z2 built by hand with the inverse of g given as 1: the power's inverse
     # map disagrees with core.validate's at g
@@ -239,10 +275,21 @@ def test_verdicts_survive_python_O(catalog):
     assert out == "".join(f"{e.value.witness} {e.value}\n" for e in (e1, e2, e3, e4))
 
 
+def reduce_first_factor(K, T, action):
+    """Shrink K to the union of the idempotent images; the action restricts."""
+    act = action.act
+    Ksub, kelems = core.subsemigroup(K, np.unique(act[list(T.idempotents)]))
+    pos = np.full(K.order, -1, dtype=np.int64)
+    pos[kelems] = np.arange(len(kelems))
+    # no (t, a) with a in the union and t.a outside it
+    assert not ((pos[act] < 0) & (pos >= 0)).any()
+    return Ksub, kelems, ac.validate_action(T, Ksub, pos[act[:, kelems]])
+
+
 def test_reduce_first_factor(catalog):
     z3, z2 = catalog["z3"], catalog["z2"]
     const = ac.validate_action(z2, z3, [[0, 0, 0], [0, 0, 0]])
-    Ksub, kelems, sub = pr.reduce_first_factor(z3, z2, const)
+    Ksub, kelems, sub = reduce_first_factor(z3, z2, const)
     assert Ksub.order == 1 and list(kelems) == [0]
     assert sub.act.shape == (2, 1)
 
@@ -253,7 +300,7 @@ def test_size_caps(catalog):
     assert e.value.bound == pr.WREATH_CAP
     with pytest.raises(TooLarge) as e:
         pr.build_lwr(catalog["i2"], catalog["i2"])
-    assert e.value.bound == pr.POWER_CAP
+    assert e.value.bound == pr.WREATH_CAP
 
 
 def test_eta_wreath_shares_the_wreath_cap(catalog, monkeypatch):

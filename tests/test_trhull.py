@@ -65,10 +65,15 @@ def test_pair_laws(catalog):
                 assert th.natural_leq_bitr(w, v) == bool(h.sg.leq[i, j])
 
 
+def canonical_pi(hull):
+    """The inner embedding s -> pi_s, injective for inverse semigroups."""
+    return mo.is_homomorphism(hull.inner_of, hull.S, hull.sg)
+
+
 def test_inner_embedding_and_ideal(catalog):
     for name in ["chain3", "fork", "z2_zero", "b2", "i2"]:
         h = th.enumerate_hull(catalog[name])
-        phi = th.canonical_pi(h)
+        phi = canonical_pi(h)
         assert phi.injective
         assert th.inner_is_ideal(h)
 
