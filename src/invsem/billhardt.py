@@ -41,9 +41,6 @@ class Transversal:
     xi: np.ndarray              # quotient element -> member position
     split: bool
 
-    def xi_pair(self, t):
-        return self.he.member_bitr(int(self.xi[t]))
-
 
 def down_fiber(he, t):
     return [int(i) for i in np.flatnonzero(he.down == t)]
@@ -120,8 +117,7 @@ def validate_transversal(tr):
     if not ok:
         raise TransversalInvalid("induced-pair-mismatch", w)
     # the chosen pair of the inverse class is forced to be the inverse pair
-    for t in range(he.Q.order):
-        assert int(he.down[he.sg.inv[tr.xi[t]]]) == int(he.Q.inv[t])
+    _require(he.down[he.sg.inv[tr.xi]] != he.Q.inv, "inverse pair lies over another class")
     ok2, w2 = check_B2(tr)
     record = {"B1": True, "B2": ok2}
     if tr.split:
@@ -132,7 +128,8 @@ def validate_transversal(tr):
         record["multiplicative"] = True
         record["sB2"] = oks
         # for multiplicative choices the two dominance forms agree
-        assert oks == ok2, (oks, ok2)
+        if oks != ok2:
+            raise TransversalInvalid("dominance forms disagree", {"B2": w2, "sB2": ws})
     if not ok2:
         raise TransversalInvalid("dominance-failure", w2)
     return record
@@ -262,18 +259,18 @@ def theorem310_forward(P, he=None):
     if he is None:
         he = trhull.hull_of_extension(
             P.sg, theta, hull=trhull.enumerate_hull(P.sg, FORWARD_HULL_BOUND))
-    member_pos = {int(m): i for i, m in enumerate(he.members)}
+    # the class of each t in the image of pi2, which must meet one class only
+    pi2 = P.pi2.map
+    q_of_t = np.full(P.T.order, -1, dtype=np.int64)
+    q_of_t[pi2] = he.qmap
+    _require(q_of_t[pi2] != he.qmap, "fiber of pi2 meets two classes")
+    ts = np.flatnonzero(q_of_t >= 0)
+    posn = np.full(he.hull.sg.order + 1, -1, dtype=np.int64)    # a spare last slot: -1 -> -1
+    posn[he.members] = np.arange(len(he.members))
+    member = posn[trhull.locate(he.hull.left, he.hull.right, *trhull.omega_bracket(P, ts))]
+    _require(member < 0, "shift pair outside the extension hull", lambda i: int(ts[i]))
     xi = np.empty(he.Q.order, dtype=np.int64)
-    # the quotient classes are labelled in first-appearance order of pi2
-    q_of_t = {}
-    for i in range(len(P.elements)):
-        t = int(P.pi2.map[i])
-        q = int(he.qmap[i])
-        assert q_of_t.setdefault(t, q) == q
-    for t, q in q_of_t.items():
-        w = trhull.omega_bracket(P, t)
-        hull_idx = he.hull.index[w.key()]
-        xi[q] = member_pos[hull_idx]
+    xi[q_of_t[ts]] = member
     tr = Transversal(he, xi, True)
     validate_transversal(tr)
     return tr
@@ -310,14 +307,21 @@ def _kernel(S, theta):
 
 def _translations(he, positions, side):
     """The left or right translations of the members at positions, one row each."""
-    return np.array([getattr(he.member_bitr(int(i)), side) for i in positions])
+    return getattr(he.hull, side)[he.members[positions]]
+
+
+def _require_extension(he, S, theta):
+    """Raise TransversalInvalid unless the transversal's hull is over (S, theta)."""
+    if he.S is not S or he.theta != theta:
+        raise TransversalInvalid("transversal is over another extension",
+                                 "S" if he.S is not S else "theta")
 
 
 def theorem310_backward(S, theta, tr):
     """Rebuild the congruence pair as a restricted pair product and hand
     back the witnessing isomorphism."""
     he = tr.he
-    assert he.S is S and he.theta == theta
+    _require_extension(he, S, theta)
     if not tr.split:
         raise NotSplit("a multiplicative transversal is required")
     validate_transversal(tr)
@@ -379,7 +383,7 @@ def thm42_embedding(S, theta, tr):
     """Embed the congruence pair into the fiber-compatible wreath product
     of its kernel by its quotient."""
     he = tr.he
-    assert he.S is S and he.theta == theta
+    _require_extension(he, S, theta)
     validate_transversal(tr)
     Q, qmap = he.Q, he.qmap
     Ksub, kelems, kpos = _kernel(S, theta)

@@ -297,14 +297,14 @@ def cmd_trhull(args):
     report.checks.append(Check("inner-part-is-ideal", trhull.inner_is_ideal(hull)))
     report.extra["hull_order"] = hull.sg.order
     report.extra["inner_order"] = S.order
-    outer = [i for i in range(hull.sg.order) if i not in set(hull.inner_of.tolist())]
-    report.extra["non_inner"] = [
-        {"left": hull.elements[i].left.tolist(), "right": hull.elements[i].right.tolist()}
-        for i in outer]
+    outer = np.ones(hull.sg.order, dtype=bool)
+    outer[hull.inner_of] = False
+    report.extra["non_inner"] = [{"left": lam, "right": rho} for lam, rho in
+                                 zip(hull.left[outer].tolist(), hull.right[outer].tolist())]
     if args.congruence:
         report.digests[args.congruence] = _digest(args.congruence)
         theta = _congruence(_load_json(args.congruence), args.congruence, S)
-        respecting = sum(trhull.respects(w, theta) for w in hull.elements)
+        respecting = int(trhull.respects(hull.left, hull.right, theta).sum())
         report.extra["respecting_order"] = respecting
         report.checks.append(Check("all-pairs-respect", respecting == hull.sg.order))
         he = trhull.hull_of_extension(S, theta, hull=hull)
@@ -355,12 +355,9 @@ def cmd_check_solution(args):
 
 
 def _transversal_descriptor(tr):
-    he = tr.he
-    out = []
-    for t in range(he.Q.order):
-        w = tr.xi_pair(t)
-        out.append({"class": t, "left": w.left.tolist(), "right": w.right.tolist()})
-    return out
+    rows = tr.he.members[tr.xi]
+    return [{"class": t, "left": lam, "right": rho} for t, (lam, rho) in
+            enumerate(zip(tr.he.hull.left[rows].tolist(), tr.he.hull.right[rows].tolist()))]
 
 
 def cmd_billhardt(args):
@@ -657,7 +654,7 @@ def _sweep_extra(directory, report):
         if S.order <= trhull.NAIVE_BOUND:
             h1 = trhull.enumerate_hull(S)
             h2 = trhull.naive_hull(S)
-            same = {w.key() for w in h1.elements} == {w.key() for w in h2.elements}
+            same = (np.array_equal(h1.left, h2.left) and np.array_equal(h1.right, h2.right))
             report.checks.append(Check(f"sweep:hull-engines-agree:{path}", same))
         names.append(path)
     return names

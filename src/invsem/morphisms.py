@@ -239,7 +239,8 @@ def make_triple(K, T, eta_values_in_t):
         vals.append(pos[int(v)])
     eta = is_homomorphism(vals, K, E)
     if not eta.surjective:
-        raise congruences.NotSurjective("eta misses part of the idempotent semilattice")
+        missed = elems[np.bincount(eta.map, minlength=E.order) == 0]
+        raise congruences.NotSurjective(f"eta misses the idempotent {int(missed[0])}")
     return NormalExtensionTriple(K, T, eta, elems)
 
 
@@ -262,12 +263,7 @@ class ExtensionSolution:
         """The extension problem this pair answers tautologically."""
         Ksub, kelems = self.kernel_sub
         Q, qmap = self.quotient
-        EQ, eelems = core.idempotent_semilattice(Q)
-        pos = {int(q): i for i, q in enumerate(eelems)}
-        vals = [pos[int(qmap[x])] for x in kelems]
-        eta = is_homomorphism(vals, Ksub, EQ)
-        assert eta.surjective
-        return NormalExtensionTriple(Ksub, Q, eta, eelems)
+        return make_triple(Ksub, Q, qmap[kelems])
 
 
 def solves(triple, solution):
@@ -306,7 +302,9 @@ def solution_embedding(phi, sol, sol2, iso=False):
     """
     if not isinstance(phi, Morphism):
         phi = is_homomorphism(phi, sol.S, sol2.S)
-    assert phi.source is sol.S and phi.target is sol2.S
+    if phi.source is not sol.S or phi.target is not sol2.S:
+        side = "source" if phi.source is not sol.S else "target"
+        raise ValueError(f"phi's {side} is not the semigroup of its solution")
     if not phi.injective:
         m = phi.map
         seen = {}

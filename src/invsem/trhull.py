@@ -6,6 +6,11 @@ pairs come from multiplication by a fixed element; the hull is the
 inverse monoid of all linked pairs, enumerated by backtracking over the
 idempotent values (which determine a translation on an inverse
 semigroup) with a dumb full-scan engine as the oracle.
+
+A pair is two index arrays over S, (left, right), and several pairs are
+two stacked arrays whose row i is pair i.  A hull keeps its pairs so, in
+lexicographic order of the left part, which determines the pair; its
+checks are gathers over those rows.
 """
 
 from dataclasses import dataclass
@@ -25,63 +30,85 @@ class DoesNotRespect(Exception):
         super().__init__(f"translation is not constant on the classes at {witness}")
 
 
-@dataclass(frozen=True, eq=False)
-class Bitranslation:
-    S: InverseSemigroup
-    left: np.ndarray
-    right: np.ndarray
+class HullInvalid(Exception):
+    """A hull or an induced pair broke its defining property; the witness says where."""
 
-    def key(self):
-        return (self.left.tobytes(), self.right.tobytes())
+    def __init__(self, reason, witness):
+        self.reason = reason
+        self.witness = witness
+        super().__init__(f"{reason} at {witness}")
 
-    def __eq__(self, other):
-        return (isinstance(other, Bitranslation) and self.S is other.S
-                and self.key() == other.key())
 
-    def __hash__(self):
-        return hash((id(self.S), self.key()))
+def _least_cell(bad):
+    """The least True cell of a mask: an int for a 1-D mask, else a tuple."""
+    cell = tuple(int(i) for i in np.argwhere(bad)[0])
+    return cell[0] if len(cell) == 1 else cell
+
+
+def _require(bad, reason):
+    if bad.any():
+        raise HullInvalid(reason, _least_cell(bad))
 
 
 def is_left_translation(S, lam):
+    """lam(st) = lam(s)t; one verdict per row of stacked maps."""
     lam = np.asarray(lam)
-    return bool(np.array_equal(lam[S.table], S.table[lam]))
+    return (lam[..., S.table] == S.table[lam]).all(axis=(-2, -1))
 
 
 def is_right_translation(S, rho):
+    """(st)rho = s((t)rho); one verdict per row of stacked maps."""
     rho = np.asarray(rho)
-    return bool(np.array_equal(rho[S.table], S.table[:, rho]))
+    return (rho[..., S.table] == S.table.T[rho].swapaxes(-2, -1)).all(axis=(-2, -1))
 
 
 def is_linked(S, lam, rho):
-    # s . lam(t) == (s)rho . t
-    return bool(np.array_equal(S.table[:, lam], S.table[rho]))
+    """s . lam(t) = (s)rho . t; one verdict per row of stacked pairs."""
+    return (S.table.T[lam].swapaxes(-2, -1) == S.table[rho]).all(axis=(-2, -1))
 
 
-def is_bitranslation(S, omega):
-    return (is_left_translation(S, omega.left)
-            and is_right_translation(S, omega.right)
-            and is_linked(S, omega.left, omega.right))
+def is_bitranslation(S, lam, rho):
+    """A linked pair of a left and a right translation; one verdict per row."""
+    return is_left_translation(S, lam) & is_right_translation(S, rho) & is_linked(S, lam, rho)
 
 
 def inner(S, s):
-    return Bitranslation(S, S.table[s].copy(), S.table[:, s].copy())
+    """The inner pair at s, its row and column of the table; stacked for an array s."""
+    return S.table[s], S.table.T[s]
 
 
-def compose_bitr(w1, w2):
-    S = w1.S
-    assert w2.S is S
-    return Bitranslation(S, w1.left[w2.left], w2.right[w1.right])
-
-
-def inverse_bitr(w):
+def _inverse(S, left, right):
     # left'(s) = ((s^-1)rho)^-1 and (s)right' = (lam(s^-1))^-1
-    S = w.S
-    return Bitranslation(S, S.inv[w.right[S.inv]], S.inv[w.left[S.inv]])
+    return S.inv[right[..., S.inv]], S.inv[left[..., S.inv]]
 
 
-def natural_leq_bitr(w1, w2):
-    prod = compose_bitr(compose_bitr(w1, inverse_bitr(w1)), w2)
-    return prod.key() == w1.key()
+def _compose(l1, r1, l2, r2):
+    """The products (l1, r1)(l2, r2), rows broadcast against each other."""
+    return np.take_along_axis(l1, l2, -1), np.take_along_axis(r2, r1, -1)
+
+
+def _find_rows(keys, rows):
+    """The position of each row among the rows of keys, -1 where absent; of
+    equal keys the last counts."""
+    both = np.concatenate([keys, rows])
+    order = np.lexsort(both.T)      # equal rows end up next to each other
+    runs = both[order]
+    starts = np.ones(len(both), dtype=np.int64)
+    starts[1:] = (runs[1:] != runs[:-1]).any(axis=1)
+    label = np.empty(len(both), dtype=np.int64)
+    label[order] = np.cumsum(starts) - 1
+    pos = np.full(len(both), -1, dtype=np.int64)
+    pos[label[:len(keys)]] = np.arange(len(keys))
+    return pos[label[len(keys):]]
+
+
+def locate(left, right, lam, rho):
+    """The row of each pair (lam, rho) among the pairs (left, right), whose
+    left parts are distinct; -1 for a pair not among them."""
+    n = left.shape[1]
+    pos = _find_rows(left, lam.reshape(-1, n)).reshape(lam.shape[:-1])
+    pos[(right[pos] != rho).any(-1)] = -1
+    return pos
 
 
 def _one_sided_translations(table, inv):
@@ -123,42 +150,47 @@ def _one_sided_translations(table, inv):
                 del assign[e]
 
     dfs(0)
-    return results
+    return np.array(results)
 
 
 @dataclass(frozen=True, eq=False)
 class TranslationalHull:
     S: InverseSemigroup
-    elements: tuple             # Bitranslation, canonically ordered
-    index: dict                 # key -> position
+    left: np.ndarray            # (m, |S|): row i is the left translation of pair i
+    right: np.ndarray           # (m, |S|): row i is its right translation
     sg: InverseSemigroup
-    inner_of: np.ndarray        # s -> position of the inner pair at s
+    inner_of: np.ndarray        # s -> row of the inner pair at s
     identity: int
 
 
-def _hull_from_pairs(S, pairs):
-    elements = tuple(sorted(pairs, key=lambda w: w.key()))
-    index = {w.key(): i for i, w in enumerate(elements)}
-    m = len(elements)
-    table = np.empty((m, m), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            k = compose_bitr(a, b).key()
-            assert k in index, "hull not closed under composition"
-            table[i, j] = index[k]
-    inner_of = np.empty(S.order, dtype=np.int64)
-    for s in range(S.order):
-        inner_of[s] = index[inner(S, s).key()]
+def _hull_from_pairs(S, left, right):
+    """The hull on the pairs (left[i], right[i]), rows sorted by left part,
+    its table and inverses checked against the coordinate formulas."""
+    order = np.lexsort(left.T[::-1])
+    left, right = left[order], right[order]
+    m, n = left.shape
+    _require((left[1:] == left[:-1]).all(axis=1), "left part fails to determine the pair")
+    # one lookup: each product w_i w_j, the inner pairs, the identity pair,
+    # and each inverse pair
+    ar = np.arange(n)
+    prod_l, prod_r = _compose(left[:, None], right[:, None], left[None], right[None])
+    inv_l, inv_r = _inverse(S, left, right)
+    found = locate(left, right,
+                   np.vstack([prod_l.reshape(m * m, n), S.table, ar, inv_l]),
+                   np.vstack([prod_r.reshape(m * m, n), S.table.T, ar, inv_r]))
+    table, inner_of, ident, inv = np.split(found, np.cumsum([m * m, n, 1]))
+    table = table.reshape(m, m)
+    _require(table < 0, "hull not closed under composition")
+    _require(found[m * m:m * m + n + 1] < 0, "inner or identity pair missing from the hull")
+    ident = int(ident[0])
     names = [f"w{i}" for i in range(m)]
-    for s in range(S.order):
+    for s in range(n):
         names[inner_of[s]] = f"pi_{S.name_of(s)}"
-    ident = index[Bitranslation(S, np.arange(S.order), np.arange(S.order)).key()]
     names[ident] = "id"
     sg = core.validate(table, names=tuple(names))
-    # the semigroup inverse must match the coordinate formula
-    for i, w in enumerate(elements):
-        assert sg.inv[i] == index[inverse_bitr(w).key()]
-    return TranslationalHull(S, elements, index, sg, inner_of, ident)
+    # as sg.inv is a bijection, this also keeps two pairs from sharing a right part
+    _require(inv != sg.inv, "inverse differs from the coordinate formula")
+    return TranslationalHull(S, left, right, sg, inner_of, ident)
 
 
 def enumerate_hull(S, bound=None):
@@ -167,21 +199,11 @@ def enumerate_hull(S, bound=None):
     if S.order > bound:
         raise TooLarge("hull enumeration", S.order, bound)
     lefts = _one_sided_translations(S.table, S.inv)
-    opp = np.ascontiguousarray(S.table.T)
-    rights = _one_sided_translations(opp, S.inv)
-    by_mat = {}
-    for rho in rights:
-        by_mat.setdefault(S.table[rho].tobytes(), []).append(rho)
-    pairs = []
-    for lam in lefts:
-        match = by_mat.get(S.table[:, lam].tobytes(), [])
-        assert len(match) <= 1, "left part fails to determine the pair"
-        for rho in match:
-            pairs.append(Bitranslation(S, lam, rho))
-    # distinct pairs have distinct left parts and distinct right parts
-    assert len({w.left.tobytes() for w in pairs}) == len(pairs)
-    assert len({w.right.tobytes() for w in pairs}) == len(pairs)
-    return _hull_from_pairs(S, pairs)
+    rights = _one_sided_translations(np.ascontiguousarray(S.table.T), S.inv)
+    # lam and rho are linked iff the matrices s . lam(t) and (s)rho . t agree
+    match = S.table[rights].reshape(len(rights), -1)
+    j = _find_rows(match, S.table.T[lefts].swapaxes(-2, -1).reshape(len(lefts), -1))
+    return _hull_from_pairs(S, lefts[j >= 0], rights[j[j >= 0]])
 
 
 def naive_hull(S):
@@ -189,97 +211,64 @@ def naive_hull(S):
     n = S.order
     if n > NAIVE_BOUND:
         raise TooLarge("naive hull enumeration", n, NAIVE_BOUND)
-    T = S.table
-    lefts, rights = [], []
-    for idx in range(n ** n):
-        digits = []
-        rest = idx
-        for _ in range(n):
-            digits.append(rest % n)
-            rest //= n
-        m = np.array(digits[::-1], dtype=np.int64)
-        if is_left_translation(S, m):
-            lefts.append(m)
-        if is_right_translation(S, m):
-            rights.append(m)
-    pairs = []
-    for lam in lefts:
-        for rho in rights:
-            if is_linked(S, lam, rho):
-                pairs.append(Bitranslation(S, lam, rho))
-    return _hull_from_pairs(S, pairs)
+    maps = np.indices((n,) * n).reshape(n, -1).T
+    lefts = maps[is_left_translation(S, maps)]
+    rights = maps[is_right_translation(S, maps)]
+    i, j = np.nonzero(is_linked(S, lefts[:, None], rights[None]))
+    return _hull_from_pairs(S, lefts[i], rights[j])
 
 
 def inner_is_ideal(hull):
     """Products of anything with an inner pair stay inner."""
-    inner_set = set(int(i) for i in hull.inner_of)
+    is_inner = np.zeros(hull.sg.order, dtype=bool)
+    is_inner[hull.inner_of] = True
     tab = hull.sg.table
-    for i in inner_set:
-        if not all(int(tab[i, j]) in inner_set and int(tab[j, i]) in inner_set
-                   for j in range(hull.sg.order)):
-            return False
-    return True
+    return bool(is_inner[tab[hull.inner_of]].all() and is_inner[tab[:, hull.inner_of]].all())
 
 
 def hull_identities(hull):
     """The element-vs-pair interaction laws, checked exhaustively."""
-    S = hull.S
-    out = {}
-    ok = True
-    for i, w in enumerate(hull.elements):
-        coords_idem = all(
-            w.left[e] == w.right[e] and S.is_idempotent(int(w.left[e]))
-            for e in S.idempotents)
-        if coords_idem != hull.sg.is_idempotent(i):
-            ok = False
-    out["idempotent_iff_agree_on_idempotents"] = ok
-    out["inverse_of_applied"] = all(
-        np.array_equal(S.inv[w.left], inverse_bitr(w).right[S.inv])
-        for w in hull.elements)
-    ok = True
-    for i, w in enumerate(hull.elements):
-        for s in range(S.order):
-            left_prod = hull.sg.table[i, hull.inner_of[s]]
-            if left_prod != hull.inner_of[w.left[s]]:
-                ok = False
-            right_prod = hull.sg.table[hull.inner_of[s], i]
-            if right_prod != hull.inner_of[w.right[s]]:
-                ok = False
-    out["pair_times_inner_is_inner"] = ok
-    out["left_determined_by_idempotents"] = all(
-        np.array_equal(w.left, S.table[w.left[S.rans], np.arange(S.order)])
-        for w in hull.elements)
-    out["right_determined_by_idempotents"] = all(
-        np.array_equal(w.right, S.table[np.arange(S.order), w.right[S.doms]])
-        for w in hull.elements)
+    S, L, R, sg = hull.S, hull.left, hull.right, hull.sg
+    ar = np.arange(S.order)
+    E = list(S.idempotents)
+    LE = L[:, E]
+    coords_idem = ((LE == R[:, E]) & (S.table[LE, LE] == LE)).all(axis=1)
+    out = {"idempotent_iff_agree_on_idempotents": bool(np.array_equal(
+        coords_idem, sg.table.diagonal() == np.arange(sg.order)))}
+    out["inverse_of_applied"] = bool(np.array_equal(S.inv[L], _inverse(S, L, R)[1][:, S.inv]))
+    out["pair_times_inner_is_inner"] = bool(
+        np.array_equal(sg.table[:, hull.inner_of], hull.inner_of[L])
+        and np.array_equal(sg.table[hull.inner_of].T, hull.inner_of[R]))
+    out["left_determined_by_idempotents"] = bool(np.array_equal(L, S.table[L[:, S.rans], ar]))
+    out["right_determined_by_idempotents"] = bool(np.array_equal(R, S.table[ar, R[:, S.doms]]))
     return out
 
 
-def respects(omega, theta):
-    """Both coordinates send related elements to related elements."""
-    c = theta.class_of
-    rep_of = theta.reps()[c]
-    return bool((c[omega.left] == c[omega.left[rep_of]]).all()
-                and (c[omega.right] == c[omega.right[rep_of]]).all())
+def _torn(left, right, c, reps):
+    """Where a coordinate sends an element out of the class of its class's image."""
+    rep_of = reps[c]
+    return (c[left] != c[left[..., rep_of]]) | (c[right] != c[right[..., rep_of]])
 
 
-def downharp(omega, theta, quotient_pair=None):
-    """The induced pair on the quotient; raises if classes are torn."""
-    if not respects(omega, theta):
-        c = theta.class_of
-        rep_of = theta.reps()[c]
-        bad = np.flatnonzero((c[omega.left] != c[omega.left[rep_of]])
-                             | (c[omega.right] != c[omega.right[rep_of]]))
-        raise DoesNotRespect(int(bad[0]))
+def respects(left, right, theta):
+    """Both coordinates send related elements to related elements; one
+    verdict per row of stacked pairs."""
+    return ~_torn(left, right, theta.class_of, theta.reps()).any(axis=-1)
+
+
+def downharp(left, right, theta, quotient_pair=None):
+    """The induced pair on the quotient, stacked for stacked pairs; raises
+    DoesNotRespect at the least element of a torn class."""
+    reps = theta.reps()
+    torn = _torn(left, right, theta.class_of, reps)
+    if torn.any():
+        raise DoesNotRespect(_least_cell(torn))
     if quotient_pair is None:
         quotient_pair = congruences.quotient(theta)
     Q, qmap = quotient_pair
-    reps = theta.reps()
-    lam = qmap[omega.left[reps]]
-    rho = qmap[omega.right[reps]]
-    w = Bitranslation(Q, lam, rho)
-    assert is_bitranslation(Q, w)
-    return w
+    lam, rho = qmap[left[..., reps]], qmap[right[..., reps]]
+    _require(np.atleast_1d(~is_bitranslation(Q, lam, rho)), "induced pair is not linked")
+    return lam, rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,14 +278,11 @@ class HullOfExtension:
     hull: TranslationalHull
     Q: InverseSemigroup
     qmap: np.ndarray
-    members: np.ndarray          # positions into hull.elements
+    members: np.ndarray          # rows of the hull
     sg: InverseSemigroup         # the restricted hull as its own semigroup
     down: np.ndarray             # member -> Q element with induced pair inner
     omega: congruences.Congruence  # classes = fibers of down
     pi_member: np.ndarray        # s -> member position of the inner pair
-
-    def member_bitr(self, i):
-        return self.hull.elements[int(self.members[i])]
 
 
 def hull_of_extension(S, theta, hull=None):
@@ -304,25 +290,17 @@ def hull_of_extension(S, theta, hull=None):
     if hull is None:
         hull = enumerate_hull(S)
     Q, qmap = congruences.quotient(theta)
-    inner_q = {inner(Q, q).key(): q for q in range(Q.order)}
-    members = []
-    down = []
-    for i, w in enumerate(hull.elements):
-        # every translation of an inverse semigroup respects every congruence
-        assert respects(w, theta)
-        dq = downharp(w, theta, (Q, qmap))
-        q = inner_q.get(dq.key())
-        if q is not None:
-            members.append(i)
-            down.append(q)
-    members = np.array(members, dtype=np.int64)
-    down = np.array(down, dtype=np.int64)
-    sub, elems = core.subsemigroup(hull.sg, members)
-    assert np.array_equal(elems, members)
+    # every translation of an inverse semigroup respects every congruence
+    q = locate(*inner(Q, np.arange(Q.order)),
+               *downharp(hull.left, hull.right, theta, (Q, qmap)))
+    members = np.flatnonzero(q >= 0)
+    down = q[members]
+    sub, _ = core.subsemigroup(hull.sg, members)
     omega = congruences.congruence_from_map(sub, down)
-    posn = {int(m): i for i, m in enumerate(members)}
-    pi_member = np.array([posn[int(hull.inner_of[s])] for s in range(S.order)],
-                         dtype=np.int64)
+    posn = np.full(hull.sg.order, -1, dtype=np.int64)
+    posn[members] = np.arange(len(members))
+    pi_member = posn[hull.inner_of]
+    _require(pi_member < 0, "inner pair outside the extension hull")
     return HullOfExtension(S, theta, hull, Q, qmap, members, sub, down, omega, pi_member)
 
 
@@ -330,13 +308,8 @@ def omega_relation_signature(he):
     """The elementwise relation: same class iff both coordinate actions agree
     on every element up to theta.  Asserted equal to the fibers of down."""
     qc = he.qmap
-    sig = {}
-    out = np.empty(len(he.members), dtype=np.int64)
-    for i in range(len(he.members)):
-        w = he.member_bitr(i)
-        k = (qc[w.left].tobytes(), qc[w.right].tobytes())
-        out[i] = sig.setdefault(k, len(sig))
-    return congruences._canon(out)
+    rows = np.hstack([qc[he.hull.left[he.members]], qc[he.hull.right[he.members]]])
+    return congruences._canon(np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1))
 
 
 def prop35_check(he):
@@ -362,16 +335,19 @@ def prop35_check(he):
 
 
 def omega_bracket(P, t):
-    """The pair on a restricted product that multiplies the T part by t."""
+    """The pair on a restricted product that multiplies the T part by t;
+    stacked, one row per element, for an array t."""
     T = P.T
     act = P.action.act
     X, U = P.elements.T
+    t = np.asarray(t)[..., None]
     ut = T.table[U, t]
     lam = P.pairdex[act[t, X], T.table[t, U]]
     rho = P.pairdex[act[T.rans[ut], X], ut]
-    if (lam < 0).any() or (rho < 0).any():
-        raise ValueError(f"the shift by {t} leaves the carrier")
-    return Bitranslation(P.sg, lam, rho)
+    off = ((lam < 0) | (rho < 0)).any(axis=-1)
+    if off.any():
+        raise ValueError(f"the shift by {int(t[off][0, 0])} leaves the carrier")
+    return lam, rho
 
 
 def shift_pairs_are_translations(P):
@@ -379,18 +355,13 @@ def shift_pairs_are_translations(P):
     induces on the T side exactly multiplication by its element."""
     T = P.T
     pi2 = P.pi2.map
+    ts = np.arange(T.order)[:, None]
+    lam, rho = omega_bracket(P, ts[:, 0])
     theta = congruences.congruence_from_map(P.sg, pi2)
-    out = {"linked": True, "respects_fibers": True, "induces_shift": True}
-    for t in range(T.order):
-        w = omega_bracket(P, t)
-        if not is_bitranslation(P.sg, w):
-            out["linked"] = False
-        if not respects(w, theta):
-            out["respects_fibers"] = False
-        if not (np.array_equal(pi2[w.left], T.table[t, pi2])
-                and np.array_equal(pi2[w.right], T.table[pi2, t])):
-            out["induces_shift"] = False
-    return out
+    return {"linked": bool(is_bitranslation(P.sg, lam, rho).all()),
+            "respects_fibers": bool(respects(lam, rho, theta).all()),
+            "induces_shift": bool(np.array_equal(pi2[lam], T.table[ts, pi2])
+                                  and np.array_equal(pi2[rho], T.table[pi2, ts]))}
 
 
 def shift_embedding_check(P):
@@ -398,46 +369,36 @@ def shift_embedding_check(P):
     agrees with every inner pair in its fiber after projecting to T."""
     T = P.T
     pi2 = P.pi2.map
-    ws = [omega_bracket(P, t) for t in range(T.order)]
-    out = {}
-    out["injective"] = len({w.key() for w in ws}) == T.order
-    out["multiplicative"] = all(
-        compose_bitr(ws[t], ws[u]).key() == ws[T.table[t, u]].key()
-        for t in range(T.order) for u in range(T.order))
-    ok = True
-    for i in range(len(P.elements)):
-        u = int(pi2[i])
-        pi_i = inner(P.sg, i)
-        if not (np.array_equal(pi2[ws[u].left], pi2[pi_i.left])
-                and np.array_equal(pi2[ws[u].right], pi2[pi_i.right])):
-            ok = False
-    out["fiber_mates_of_inner"] = ok
+    lam, rho = omega_bracket(P, np.arange(T.order))
+    equal = ((lam[:, None] == lam[None]) & (rho[:, None] == rho[None])).all(axis=-1)
+    out = {"injective": bool(equal.sum() == T.order)}
+    prod = _compose(lam[:, None], rho[:, None], lam[None], rho[None])
+    out["multiplicative"] = bool(np.array_equal(prod[0], lam[T.table])
+                                 and np.array_equal(prod[1], rho[T.table]))
+    # row i: the shift pair over pi2(i) against the inner pair at i
+    out["fiber_mates_of_inner"] = bool(np.array_equal(pi2[lam[pi2]], pi2[P.sg.table])
+                                       and np.array_equal(pi2[rho[pi2]], pi2[P.sg.table.T]))
     return out
 
 
 def shift_order_and_conjugation_check(P):
     """dom of a shift pair dominates dom of every inner pair in its fiber,
     and conjugating a kernel element by a shift pair applies the action."""
-    T = P.T
-    act = P.action.act
-    pi2 = P.pi2.map
-    ws = [omega_bracket(P, t) for t in range(T.order)]
-    out = {"dom_formula": True, "dom_dominates": True, "conjugation": True}
-    for t in range(T.order):
-        w = ws[t]
-        dom_w = compose_bitr(inverse_bitr(w), w)
-        if dom_w.key() != ws[T.doms[t]].key():
-            out["dom_formula"] = False
-        for i in range(len(P.elements)):
-            if int(pi2[i]) != t:
-                continue
-            if not natural_leq_bitr(inner(P.sg, int(P.sg.doms[i])), dom_w):
-                out["dom_dominates"] = False
+    S, T = P.sg, P.T
+    ts = np.arange(T.order)[:, None]
+    lam, rho = omega_bracket(P, ts[:, 0])
+    lam_inv, rho_inv = _inverse(S, lam, rho)
+    dom_l, dom_r = _compose(lam_inv, rho_inv, lam, rho)
+    out = {"dom_formula": bool(np.array_equal(dom_l, lam[T.doms])
+                               and np.array_equal(dom_r, rho[T.doms]))}
+    # row i: the inner pair a at dom(i) below dom of the shift pair over pi2(i);
+    # a is idempotent, so a <= b in the natural order iff ab = a
+    a_l, a_r = inner(S, S.doms)
+    below = _compose(a_l, a_r, dom_l[P.pi2.map], dom_r[P.pi2.map])
+    out["dom_dominates"] = bool(np.array_equal(below[0], a_l) and np.array_equal(below[1], a_r))
     kernel = np.flatnonzero(T.rans[P.elements[:, 1]] == P.elements[:, 1])
     C, E = P.elements[kernel].T
-    for t in range(T.order):
-        w, winv = ws[t], inverse_bitr(ws[t])
-        moved = winv.right[w.left[kernel]]
-        if not np.array_equal(moved, P.pairdex[act[t, C], T.rans[T.table[t, E]]]):
-            out["conjugation"] = False
+    moved = np.take_along_axis(rho_inv, lam[:, kernel], -1)
+    out["conjugation"] = bool(np.array_equal(
+        moved, P.pairdex[P.action.act[ts, C], T.rans[T.table[ts, E]]]))
     return out

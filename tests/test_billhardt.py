@@ -70,8 +70,9 @@ def test_fork_universal_needs_the_adjoined_identity(catalog):
     assert len(plain) == 1 and bh.classify_classical(plain[0]) == "neither"
     split = list(bh.enumerate_transversals(fork, univ, want_split=True))
     assert _xis(split) == _xis(tr for tr in plain if bh.xi_multiplicative(tr)[0])
-    xi_pair = plain[0].xi_pair(0)
-    assert (xi_pair.left == np.arange(3)).all()     # it is the identity pair
+    he = plain[0].he
+    xi_left = he.hull.left[he.members[plain[0].xi[0]]]
+    assert (xi_left == np.arange(3)).all()          # it is the identity pair
     assert not bh.classical_billhardt_on(fork, univ)[0]
 
 
@@ -218,6 +219,25 @@ def test_rebuild_verdicts_survive_python_O(catalog):
     out = subprocess.run([sys.executable, "-O", "-c", _MISPLACED_PAIRS], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "".join(f"{e.value.witness} {e.value}\n" for e in (e1, e2))
+
+
+def test_round_trip_survives_python_O():
+    # the forward map labels each fiber of pi2 by its quotient class outside any assert
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-O", "-m", "invsem", "verify", "thm-3.10"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "ok (11/11 checks" in out.stdout
+
+
+def test_rebuild_refuses_another_extension(catalog):
+    b2 = catalog["b2"]
+    diag, univ = cg.diagonal(b2), cg.universal(b2)
+    tr = bh.find_transversal(b2, diag, want_split=True)
+    for rebuild in (bh.theorem310_backward, bh.thm42_embedding):
+        with pytest.raises(bh.TransversalInvalid, match="over another extension") as e:
+            rebuild(b2, univ, tr)
+        assert e.value.witness == "theta"
 
 
 def test_wreath_embedding_point_quotient(catalog):

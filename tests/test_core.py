@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -514,3 +515,13 @@ def test_the_only_bound_parameter_is_the_hull_bound():
             found += [f"{info.name}.{name}({p})" for p in inspect.signature(fn).parameters
                       if p in ("bound", "cap") or p.endswith(("_bound", "_cap"))]
     assert found == ["trhull.enumerate_hull(bound)"]
+
+
+def test_no_assert_decides_a_verdict():
+    """`python -O` strips `assert`, so no check in the package may be one."""
+    found = []
+    for path in sorted(Path(invsem.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

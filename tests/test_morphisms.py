@@ -124,7 +124,7 @@ def test_make_triple_errors(catalog):
     chain2, i2 = catalog["chain2"], catalog["i2"]
     with pytest.raises(ValueError):
         mo.make_triple(chain2, i2, [0, 5])  # 5 is not idempotent in the codomain
-    with pytest.raises(cg.NotSurjective):
+    with pytest.raises(cg.NotSurjective, match="misses the idempotent"):
         mo.make_triple(chain2, i2, [0, 0])
 
 
@@ -141,6 +141,12 @@ def test_solution_embedding(catalog):
     with pytest.raises(mo.NotInjective) as e:
         mo.solution_embedding([0, 0], s1, s1)
     assert e.value.witness == (0, 1)
+    # a morphism between other semigroups is refused, by name of the side
+    phi = mo.is_homomorphism([0, 1], chain2, chain3)
+    with pytest.raises(ValueError, match="source"):
+        mo.solution_embedding(phi, s3, s3)
+    with pytest.raises(ValueError, match="target"):
+        mo.solution_embedding(phi, s1, s1)
 
 
 def search_by_worklist(src, dst, domains, order=None, injective=False):

@@ -1,5 +1,6 @@
-"""Digests of built products, pinned so that a change to how elements are
-coded cannot move an element, an index, a name or a byte of output.
+"""Digests of built products and translational hulls, pinned so that a
+change to how elements are coded cannot move an element, an index, a name
+or a byte of output.
 
 Each digest covers the values in build order; regenerate one only for a
 change that means to alter the output it pins."""
@@ -9,7 +10,7 @@ import json
 
 import numpy as np
 
-from invsem import cli, core, fixtures
+from invsem import billhardt, cli, congruences, core, fixtures, trhull
 
 # (kind, K, T): the wreath rungs, with the direct products and eta maps the
 # benchmark builds for them
@@ -103,3 +104,97 @@ def test_product_files_are_pinned(tmp_path):
 
 def test_fixture_products_are_pinned():
     assert fixture_digests() == FIXTURE_FIELDS
+
+
+HULLS = {
+    "catalog": "c9e170b14c4bf991ef2a9210ee1f98dc607cdced6b7f096ed2004464ea27a17d",
+    "forward": "73d679552ecef9ddf5ce8a858a48246eac768875cc3bddea376583e2c2169860",
+    "extensions": "20da1925a045d77331a91193e0616e1d0c76a831221c29a2023df810a98e2f90",
+    "cli": "abc2edeee3ff92162bc28a637a41779057152fc5cfe51f813e8c32ecad432d91",
+}
+
+
+def _ints(a):
+    return np.asarray(a, dtype=np.int64).tobytes()
+
+
+def _hull_fields(h):
+    return (_ints(h.left), _ints(h.right), _ints(h.sg.table),
+            json.dumps(list(h.sg.names)).encode(), _ints(h.inner_of), _ints([h.identity]))
+
+
+def hull_digests():
+    """Every catalog hull, the forward hull and forward transversal of every
+    rsd fixture, and the extension hull of every congruence up to order 6."""
+    cat = fixtures.catalog()
+    names = [n for n, S in cat.items() if S.order <= trhull.HULL_BOUND]
+    out = {"catalog": _sha(c for n in names
+                           for c in (n.encode(), *_hull_fields(trhull.enumerate_hull(cat[n]))))}
+    chunks = []
+    for label, P in fixtures.rsd_fixtures():
+        tr = billhardt.theorem310_forward(P)
+        chunks += [label.encode(), *_hull_fields(tr.he.hull), _ints(tr.he.members), _ints(tr.xi)]
+    out["forward"] = _sha(chunks)
+    chunks = []
+    for n in names:
+        S = cat[n]
+        if S.order > 6:
+            continue
+        hull = trhull.enumerate_hull(S)
+        for k, theta in enumerate(congruences.enumerate_congruences(S)):
+            he = trhull.hull_of_extension(S, theta, hull=hull)
+            chunks += [f"{n}#{k}".encode(), _ints(he.members), _ints(he.down),
+                       _ints(he.omega.class_of), _ints(he.pi_member)]
+    out["extensions"] = _sha(chunks)
+    return out
+
+
+# (argv after the instance files are written); the instance and congruence
+# files are named by the first two words after the subcommand
+CLI_RUNS = (
+    ("trhull", "b2"),
+    ("trhull", "i2"),
+    ("trhull", "b2", "--congruence", "univ"),
+    ("trhull", "b2", "--congruence", "diag"),
+    ("trhull", "i2", "--congruence", "rees"),
+    ("trhull", "fork", "--congruence", "fork1"),
+    ("billhardt", "find", "b2", "univ"),
+    ("billhardt", "find", "b2", "univ", "--split"),
+    ("billhardt", "find", "i2", "rees"),
+    ("billhardt", "find", "fork", "fork1"),
+    ("billhardt", "embed", "b2", "diag", "--split"),
+    ("billhardt", "embed", "fork", "fork1"),
+    ("billhardt", "embed", "chain3", "chain3univ", "--split"),
+)
+
+
+def cli_digest(tmp_path, capsys):
+    """The --json reports of trhull and billhardt, without the timing and
+    the file paths, which differ from run to run."""
+    cat = fixtures.catalog()
+    files = {n: core.as_dict(cat[n]) for n in ("b2", "i2", "fork", "chain3")}
+    files |= {"univ": {"class_of": [0] * 5}, "diag": {"class_of": list(range(5))},
+              "rees": {"class_of": [0, 0, 0, 0, 1, 0, 2]}, "fork1": {"class_of": [0, 1, 0]},
+              "chain3univ": {"class_of": [0, 0, 0]}}
+    paths = {}
+    for name, doc in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    reports = []
+    for argv in CLI_RUNS:
+        rc, _ = cli.run(["--json"] + [str(paths.get(a, a)) for a in argv])
+        doc = json.loads(capsys.readouterr().out)
+        del doc["elapsed_s"], doc["command"]
+        doc["digests"] = sorted(doc["digests"].values())
+        reports.append([list(argv), rc, doc])
+    return _sha([json.dumps(reports, sort_keys=True).encode()])
+
+
+def test_hulls_are_pinned():
+    got = hull_digests()
+    assert {k: got[k] for k in ("catalog", "forward", "extensions")} == {
+        k: HULLS[k] for k in ("catalog", "forward", "extensions")}
+
+
+def test_hull_reports_are_pinned(tmp_path, capsys):
+    assert cli_digest(tmp_path, capsys) == HULLS["cli"]

@@ -1,9 +1,40 @@
 import numpy as np
 import pytest
 
-from invsem import congruences as cg
+from invsem import billhardt as bh, congruences as cg
 from invsem import core, morphisms as mo, trhull as th
 from invsem.core import TooLarge
+
+
+# the coordinate formulas of one pair (left, right), the oracle for the hull table
+
+
+def compose(w1, w2):
+    return w1[0][w2[0]], w2[1][w1[1]]
+
+
+def inverse(S, w):
+    # left'(s) = ((s^-1)rho)^-1 and (s)right' = (lam(s^-1))^-1
+    lam, rho = w
+    return S.inv[rho[S.inv]], S.inv[lam[S.inv]]
+
+
+def same(w1, w2):
+    return np.array_equal(w1[0], w2[0]) and np.array_equal(w1[1], w2[1])
+
+
+def natural_leq(S, w1, w2):
+    return same(compose(compose(w1, inverse(S, w1)), w2), w1)
+
+
+def pairs(h):
+    return list(zip(h.left, h.right))
+
+
+def index_of(h, w):
+    hits = [i for i, v in enumerate(pairs(h)) if same(v, w)]
+    assert len(hits) == 1
+    return hits[0]
 
 
 HULL_ORDERS = {
@@ -26,13 +57,23 @@ def test_hull_orders(catalog):
 
 
 def test_backtracking_matches_naive(catalog):
-    for name in HULL_ORDERS:
-        S = catalog[name]
+    for name, S in catalog.items():
         if S.order > th.NAIVE_BOUND:
             continue
         fast = th.enumerate_hull(S)
         slow = th.naive_hull(S)
-        assert [w.key() for w in fast.elements] == [w.key() for w in slow.elements], name
+        assert np.array_equal(fast.left, slow.left), name
+        assert np.array_equal(fast.right, slow.right), name
+        assert np.array_equal(fast.sg.table, slow.sg.table), name
+
+
+def test_rows_sorted_by_distinct_left_parts(catalog):
+    for name in HULL_ORDERS:
+        h = th.enumerate_hull(catalog[name])
+        rows = [tuple(r) for r in h.left.tolist()]
+        assert rows == sorted(set(rows)), name
+        assert len({tuple(r) for r in h.right.tolist()}) == len(rows), name
+        assert h.left.dtype == h.right.dtype == np.int64, name
 
 
 def test_hull_bounds(catalog):
@@ -52,17 +93,16 @@ def test_pair_laws(catalog):
     for name in ["fork", "z2_zero", "b2", "i2"]:
         S = catalog[name]
         h = th.enumerate_hull(S)
-        n = h.sg.order
-        ident = h.elements[h.identity]
-        assert (ident.left == np.arange(S.order)).all()
-        assert (ident.right == np.arange(S.order)).all()
-        for i, w in enumerate(h.elements):
-            assert th.is_bitranslation(S, w)
-            assert h.sg.inv[i] == h.index[th.inverse_bitr(w).key()]
-            for j, v in enumerate(h.elements):
-                assert h.sg.table[i, j] == h.index[th.compose_bitr(w, v).key()]
+        assert (h.left[h.identity] == np.arange(S.order)).all()
+        assert (h.right[h.identity] == np.arange(S.order)).all()
+        assert th.is_bitranslation(S, h.left, h.right).all()
+        for i, w in enumerate(pairs(h)):
+            assert th.is_bitranslation(S, *w)
+            assert h.sg.inv[i] == index_of(h, inverse(S, w))
+            for j, v in enumerate(pairs(h)):
+                assert h.sg.table[i, j] == index_of(h, compose(w, v))
                 # the coordinate order formula matches the table-level order
-                assert th.natural_leq_bitr(w, v) == bool(h.sg.leq[i, j])
+                assert natural_leq(S, w, v) == bool(h.sg.leq[i, j])
 
 
 def canonical_pi(hull):
@@ -99,8 +139,9 @@ def test_every_pair_respects_every_congruence(catalog):
             continue
         h = th.enumerate_hull(S)
         for theta in cg.enumerate_congruences(S):
-            for w in h.elements:
-                assert th.respects(w, theta), name
+            assert th.respects(h.left, h.right, theta).all(), name
+            for w in pairs(h):
+                assert th.respects(*w, theta), name
 
 
 def test_downharp_sends_inner_to_inner(catalog):
@@ -108,18 +149,37 @@ def test_downharp_sends_inner_to_inner(catalog):
     rees = cg.enumerate_congruences(i2)[1]
     Q, qmap = cg.quotient(rees)
     for s in range(i2.order):
-        got = th.downharp(th.inner(i2, s), rees, (Q, qmap))
-        assert got == th.inner(Q, int(qmap[s]))
+        got = th.downharp(*th.inner(i2, s), rees, (Q, qmap))
+        assert same(got, th.inner(Q, int(qmap[s])))
+    # stacked pairs give stacked induced pairs
+    lam, rho = th.downharp(*th.inner(i2, np.arange(i2.order)), rees, (Q, qmap))
+    assert np.array_equal(lam, Q.table[qmap]) and np.array_equal(rho, Q.table.T[qmap])
 
 
 def test_downharp_rejects_torn_pair(catalog):
     z2z = catalog["z2_zero"]
     theta = cg.is_congruence(z2z, [0, 1, 1])
-    fake = th.Bitranslation(z2z, np.array([0, 1, 0]), np.array([0, 1, 0]))
-    assert not th.respects(fake, theta)
+    fake = (np.array([0, 1, 0]), np.array([0, 1, 0]))
+    assert not th.respects(*fake, theta)
     with pytest.raises(th.DoesNotRespect) as e:
-        th.downharp(fake, theta)
+        th.downharp(*fake, theta)
     assert e.value.witness == 2
+    # in a stack, the witness is (row, element)
+    with pytest.raises(th.DoesNotRespect) as e:
+        th.downharp(np.array([[0, 1, 2], fake[0]]), np.array([[0, 1, 2], fake[1]]), theta)
+    assert e.value.witness == (1, 2)
+
+
+def test_hull_needs_every_inner_pair(catalog):
+    fork = catalog["fork"]
+    h = th.enumerate_hull(fork)
+    keep = np.arange(h.sg.order) != h.identity
+    with pytest.raises(th.HullInvalid, match="identity pair missing") as e:
+        th._hull_from_pairs(fork, h.left[keep], h.right[keep])
+    assert e.value.witness == fork.order          # the slot after the inner pairs
+    twice = np.r_[np.arange(h.sg.order), 0]
+    with pytest.raises(th.HullInvalid, match="left part fails") as e:
+        th._hull_from_pairs(fork, h.left[twice], h.right[twice])
 
 
 def test_extension_hull_membership(catalog):
@@ -160,3 +220,12 @@ def test_shift_pairs(rsd_fixtures):
         assert all(got.values()), (name, got)
         got = th.shift_order_and_conjugation_check(P)
         assert all(got.values()), (name, got)
+
+
+def test_forward_transversal_needs_classes_within_fibers(rsd_fixtures):
+    # over the diagonal congruence, a fiber of pi2 with two elements meets two classes
+    label, P = next((lb, P) for lb, P in rsd_fixtures if P.sg.order > P.T.order)
+    he = th.hull_of_extension(P.sg, cg.diagonal(P.sg),
+                              hull=th.enumerate_hull(P.sg, bh.FORWARD_HULL_BOUND))
+    with pytest.raises(bh.TransversalInvalid, match="fiber of pi2 meets two classes"):
+        bh.theorem310_forward(P, he=he)
