@@ -5,8 +5,10 @@ induced pair on the quotient is inner at t, such that dom(xi(t))
 dominates dom(w) for every other pair w in the generated subsemigroup
 lying over t.  Split transversals are additionally multiplicative.
 These are the data that let a congruence be rebuilt as a restricted
-pair product, and that embed a congruence pair into a wreath product
-over the quotient.
+pair product, and that embed a congruence pair into the fiber-compatible
+wreath product hwr-eta over the quotient.  The total-map route through
+the lambda-wreath and the plain wreath is a separate cross-check of that
+embedding, which builds both wreaths.
 """
 
 import weakref
@@ -46,15 +48,6 @@ def down_fiber(he, t):
     return [int(i) for i in np.flatnonzero(he.down == t)]
 
 
-def check_B1(tr):
-    """Every chosen pair must induce the inner pair of its own class."""
-    he = tr.he
-    for t in range(he.Q.order):
-        if int(he.down[tr.xi[t]]) != t:
-            return False, t
-    return True, None
-
-
 def _sbar(he, img):
     """Members generated by the inner pairs plus the chosen ones, memoised per hull."""
     memo = _SBAR.setdefault(he, {})
@@ -91,31 +84,18 @@ def check_B2(tr, sbar=None):
 def check_sB2(tr):
     """Split form: dom(xi(dom t)) dominates every inner dom over dom t."""
     he = tr.he
-    leq = he.sg.leq
-    for s in range(he.S.order):
-        t = int(he.qmap[s])
-        dom_t = int(he.Q.doms[t])
-        if not leq[he.pi_member[he.S.doms[s]], tr.xi[dom_t]]:
-            return False, s
-    return True, None
+    return _verdict(~he.sg.leq[he.pi_member[he.S.doms], tr.xi[he.Q.doms[he.qmap]]], int)
 
 
 def xi_multiplicative(tr):
-    he = tr.he
-    tab = he.sg.table
-    for t in range(he.Q.order):
-        for u in range(he.Q.order):
-            if tab[tr.xi[t], tr.xi[u]] != tr.xi[he.Q.table[t, u]]:
-                return False, (t, u)
-    return True, None
+    return _verdict(tr.he.sg.table[np.ix_(tr.xi, tr.xi)] != tr.xi[tr.he.Q.table])
 
 
 def validate_transversal(tr):
     """Check every axiom; raise on the first failure, return the record."""
     he = tr.he
-    ok, w = check_B1(tr)
-    if not ok:
-        raise TransversalInvalid("induced-pair-mismatch", w)
+    # B1: every chosen pair induces the inner pair of its own class
+    _require(he.down[tr.xi] != np.arange(he.Q.order), "induced-pair-mismatch", int)
     # the chosen pair of the inverse class is forced to be the inverse pair
     _require(he.down[he.sg.inv[tr.xi]] != he.Q.inv, "inverse pair lies over another class")
     ok2, w2 = check_B2(tr)
@@ -276,10 +256,18 @@ def theorem310_forward(P, he=None):
     return tr
 
 
+def _verdict(bad, label=lambda *cell: cell):
+    """(True, None), or False with the least cell of the mask bad, labelled."""
+    if not bad.any():
+        return True, None
+    return False, label(*(int(i) for i in np.argwhere(bad)[0]))
+
+
 def _require(bad, reason, label=lambda *cell: cell):
     """Raise TransversalInvalid at the least cell of the mask bad, labelled."""
-    if bad.any():
-        raise TransversalInvalid(reason, label(*(int(i) for i in np.argwhere(bad)[0])))
+    ok, witness = _verdict(bad, label)
+    if not ok:
+        raise TransversalInvalid(reason, witness)
 
 
 def _require_injective(m, what):
@@ -352,12 +340,8 @@ def theorem310_backward(S, theta, tr):
 
 @dataclass(frozen=True, eq=False)
 class WreathEmbedding:
-    triple: morphisms.NormalExtensionTriple
     hwr_eta: products.HoughtonWreath
     psi: morphisms.Morphism
-    f_elements: dict            # (s, t in the ideal) -> element of S
-    phi: morphisms.Morphism | None
-    route_consistent: bool | None
 
 
 def _transversal_conjugate(tr, A, s, B):
@@ -379,23 +363,17 @@ def recovery_identity_holds(tr, s, printed_variant=False):
     return tab[tab[he.sg.inv[tr.xi[u]], f_u], last] == he.pi_member[s]
 
 
-def thm42_embedding(S, theta, tr):
-    """Embed the congruence pair into the fiber-compatible wreath product
-    of its kernel by its quotient."""
+def _conjugate_digits(S, theta, tr):
+    """The kernel of theta with its elements, and for each s and x the index
+    in it of f[s, x], the element whose inner pair is xi(xu) pi_s xi(xt)^-1
+    for s over t with u = ran t; on the ideal Qu, xu = x and f is s's map."""
     he = tr.he
     _require_extension(he, S, theta)
     validate_transversal(tr)
     Q, qmap = he.Q, he.qmap
     Ksub, kelems, kpos = _kernel(S, theta)
-    triple = morphisms.make_triple(Ksub, Q, qmap[kelems])
-    hwe = products.build_hwr_eta(triple)
-    peta = hwe.pkt
-
-    # f[s, x]: the element whose inner pair is xi(xu) pi_s xi(xt)^-1, for
-    # s over t with u = ran t; on the ideal Qu, xu = x and f is s's map
     s = np.arange(S.order)[:, None]
-    U = Q.rans[qmap]
-    A = Q.table[np.arange(Q.order), U[:, None]]
+    A = Q.table[np.arange(Q.order), Q.rans[qmap][:, None]]
     B = Q.table[np.arange(Q.order), qmap[:, None]]
     f = _inner_element_of(he)[_transversal_conjugate(tr, A, s, B)]
     digits = kpos[f]
@@ -408,29 +386,43 @@ def thm42_embedding(S, theta, tr):
              "one-sided application orders disagree")
     _require(ideal & (qmap[f] != Q.rans[A]), "value outside the kernel fiber over ran(x)")
     _require(~recovery_identity_holds(tr, s[:, 0]), "recovery identity fails")
-    f_elements = {(i, x): int(f[i, x]) for i, x in np.argwhere(ideal).tolist()}
+    return Ksub, kelems, digits
+
+
+def thm42_embedding(S, theta, tr):
+    """Embed the congruence pair into the fiber-compatible wreath product
+    of its kernel by its quotient."""
+    Ksub, kelems, digits = _conjugate_digits(S, theta, tr)
+    Q, qmap = tr.he.Q, tr.he.qmap
+    hwe = products.build_hwr_eta(morphisms.make_triple(Ksub, Q, qmap[kelems]))
+    peta = hwe.pkt
+    U = Q.rans[qmap]
     psi_vals = np.empty(S.order, dtype=np.int64)
     for u, X in peta.ideals.items():
         rows = np.flatnonzero(U == u)
         psi_vals[rows] = hwe.rsd.pairdex[peta.encode(u, digits[rows][:, X]), qmap[rows]]
     psi = morphisms.is_homomorphism(psi_vals, S, hwe.sg)
     _require_injective(psi, "psi")
+    return WreathEmbedding(hwe, psi)
 
-    try:
-        hwr_plain = products.build_hwr(Ksub, Q)
-        lwr = products.build_lwr(Ksub, Q)
-    except TooLarge:
-        return WreathEmbedding(triple, hwe, psi, f_elements, None, None)
+
+def total_map_route_agrees(S, theta, tr, emb):
+    """Whether S, sent by total maps into the lambda-wreath and restricted
+    into the plain wreath, lands where emb's psi does.  Builds both
+    wreaths, so it raises TooLarge past WREATH_CAP."""
+    Ksub, _, digits = _conjugate_digits(S, theta, tr)
+    Q, qmap = tr.he.Q, tr.he.qmap
+    hwr = products.build_hwr(Ksub, Q)
+    lwr = products.build_lwr(Ksub, Q)
     phi = morphisms.is_homomorphism(lwr.lsd.pairdex[digits @ lwr.weights, qmap], S, lwr.sg)
     _require_injective(phi, "phi")
-    restrict = products.Psi_remark(lwr, hwr_plain)
-    # the two routes must land on the same map, compared by value
-    p, t = hwr_plain.elements[restrict.map[phi.map]].T
-    lp, u = hwe.elements[psi.map].T
-    e = peta.eps.map[lp]
-    same = (t == u) & (hwr_plain.pkt.eps.map[p] == e)
-    for g in peta.ideals:
-        rows = np.flatnonzero(same & (e == g))
-        same[rows] = (hwr_plain.pkt.values[g][p[rows] - hwr_plain.pkt.blocks[g][0]]
-                      == peta.values[g][lp[rows] - peta.blocks[g][0]]).all(axis=1)
-    return WreathEmbedding(triple, hwe, psi, f_elements, phi, bool(same.all()))
+    restrict = products.Psi_remark(lwr, hwr)
+    # psi(s) carried by value into the plain wreath: the same map and t there
+    p, t = emb.hwr_eta.elements[emb.psi.map].T
+    peta = emb.hwr_eta.pkt
+    e = peta.eps.map[p]
+    carried = np.empty(S.order, dtype=np.int64)
+    for g, (off, _) in peta.blocks.items():
+        rows = np.flatnonzero(e == g)
+        carried[rows] = hwr.rsd.pairdex[hwr.pkt.encode(g, peta.values[g][p[rows] - off]), t[rows]]
+    return bool((carried == restrict.map[phi.map]).all())

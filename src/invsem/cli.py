@@ -387,12 +387,20 @@ def cmd_billhardt(args):
     if args.mode == "embed":
         emb = billhardt.thm42_embedding(S, theta, tr)
         report.checks.append(Check("embedding-injective", emb.psi.injective))
-        if emb.route_consistent is not None:
-            report.checks.append(Check("total-map-route-agrees", emb.route_consistent))
+        report.checks += _route_checks(S, theta, tr, emb)
         out = core.as_dict(emb.hwr_eta.sg)
         report.extra["wreath_instance"] = out
         report.extra["psi_map"] = emb.psi.map.tolist()
     return report
+
+
+def _route_checks(S, theta, tr, emb):
+    """The total-map route's check, none where its wreaths pass WREATH_CAP."""
+    try:
+        agrees = billhardt.total_map_route_agrees(S, theta, tr, emb)
+    except TooLarge:
+        return []
+    return [Check("total-map-route-agrees", agrees)]
 
 
 # ------------------------------------------------------------------ verifiers
@@ -545,7 +553,7 @@ def _wreath_embedding(extension):
     if tr is None:
         return True, "no-transversal"
     emb = billhardt.thm42_embedding(S, th, tr)
-    ok = emb.psi.injective and (emb.route_consistent in (True, None))
+    ok = emb.psi.injective and all(c.passed for c in _route_checks(S, th, tr, emb))
     return ok, None if ok else "route-divergence"
 
 

@@ -65,11 +65,7 @@ class Congruence:
 
     def reps(self):
         # class ids are canonical, so the least member is the first occurrence
-        c = self.class_of
-        out = np.empty(self.class_count, dtype=np.int64)
-        for j in range(self.class_count):
-            out[j] = np.flatnonzero(c == j)[0]
-        return out
+        return np.unique(self.class_of, return_index=True)[1]
 
     def __eq__(self, other):
         return (isinstance(other, Congruence)

@@ -168,20 +168,61 @@ def test_recovery_identity(catalog):
     assert printed == [True, True, False, False, True]
 
 
+def _ideal_values(emb):
+    """(s, x, value of psi(s)'s map at x) over the ideal of each psi(s)."""
+    pkt = emb.hwr_eta.pkt
+    out = []
+    for s, (p, _) in enumerate(emb.hwr_eta.elements[emb.psi.map].tolist()):
+        e = int(pkt.eps.map[p])
+        values = pkt.values[e][p - pkt.blocks[e][0]]
+        out += [(s, int(x), int(v)) for x, v in zip(pkt.ideals[e], values)]
+    return out
+
+
 def test_wreath_embedding(catalog):
     b2 = catalog["b2"]
     diag = cg.diagonal(b2)
     tr = bh.find_transversal(b2, diag, want_split=True)
     emb = bh.thm42_embedding(b2, diag, tr)
-    assert emb.triple.K.order == 3 and emb.triple.T.order == 5
+    K, Q = emb.hwr_eta.K, emb.hwr_eta.T
+    assert K.order == 3 and Q.order == 5
     assert emb.hwr_eta.sg.order == 5
-    assert emb.psi.injective and emb.route_consistent
-    assert len(emb.f_elements) == 13
-    # each f-value lies in the kernel fiber over the range of its argument
-    Q = emb.triple.T
-    he = tr.he
-    for (s, x), elt in emb.f_elements.items():
-        assert int(he.qmap[elt]) == int(Q.rans[x])
+    assert emb.psi.injective and bh.total_map_route_agrees(b2, diag, tr, emb)
+    cells = _ideal_values(emb)
+    assert len(cells) == 13
+    # each value lies in the kernel class over the range of its argument
+    kelems = sorted(cg.kernel(diag).members)
+    for s, x, v in cells:
+        assert int(tr.he.qmap[kelems[v]]) == int(Q.rans[x])
+
+
+def test_thm42_embedding_builds_only_hwr_eta(catalog, monkeypatch):
+    # the plain and lambda wreaths belong to the total-map route alone
+    def refuse(*args):
+        raise AssertionError("thm42_embedding built a total-map wreath")
+
+    for name in ("build_hwr", "build_lwr", "Psi_remark"):
+        monkeypatch.setattr(pr, name, refuse)
+    cases = [("b2", cg.diagonal), ("b2", cg.universal), ("chain3", cg.universal),
+             ("fork", lambda S: cg.is_congruence(S, [0, 1, 0]))]
+    for name, theta_of in cases:
+        S = catalog[name]
+        theta = theta_of(S)
+        tr = bh.find_transversal(S, theta)
+        assert bh.thm42_embedding(S, theta, tr).psi.injective
+
+
+def test_total_map_route_can_fail(catalog, monkeypatch):
+    b2 = catalog["b2"]
+    diag = cg.diagonal(b2)
+    tr = bh.find_transversal(b2, diag)
+    emb = bh.thm42_embedding(b2, diag, tr)
+    psi = dataclasses.replace(emb.psi, map=np.roll(emb.psi.map, 1))
+    rolled = dataclasses.replace(emb, psi=psi)
+    assert bh.total_map_route_agrees(b2, diag, tr, emb)
+    assert not bh.total_map_route_agrees(b2, diag, tr, rolled)
+    monkeypatch.setattr(bh, "thm42_embedding", lambda *args: rolled)
+    assert cli._wreath_embedding((b2, diag)) == (False, "route-divergence")
 
 
 _MISPLACED_PAIRS = """
@@ -247,7 +288,7 @@ def test_wreath_embedding_point_quotient(catalog):
     tr = bh.find_transversal(b2, univ, want_split=True)
     emb = bh.thm42_embedding(b2, univ, tr)
     assert emb.hwr_eta.sg.order == 5
-    assert emb.psi.injective and emb.route_consistent
+    assert emb.psi.injective and bh.total_map_route_agrees(b2, univ, tr, emb)
     assert mo.isomorphism_search(emb.hwr_eta.sg, b2) is not None
 
 
