@@ -118,15 +118,16 @@ def validate_eps(K, T, values):
     values = np.asarray(values, dtype=np.int64)
     if values.shape != (K.order,):
         raise ValueError("eps must assign every element of K")
-    idem = set(T.idempotents)
-    for a, v in enumerate(values.tolist()):
-        if v not in idem:
-            raise ValueError(f"eps({a}) = {v} is not an idempotent")
+    v = values.clip(0, T.order - 1)     # where values leaves [0, |T|), T.table[v, v] != values
+    idem = T.table[v, v] == values
+    if not idem.all():
+        a = int(idem.argmin())
+        raise ValueError(f"eps({a}) = {values[a]} is not an idempotent")
     ok = values[K.table] == T.table[values[:, None], values[None, :]]
     if not ok.all():
         a, b = np.argwhere(~ok)[0]
         raise morphisms.NotMultiplicative(int(a), int(b))
-    if set(values.tolist()) != idem:
+    if set(values.tolist()) != set(T.idempotents):
         raise congruences.NotSurjective("eps misses some idempotent of T")
     return EpsilonMap(K, T, values)
 
@@ -146,39 +147,34 @@ def check_AFR(action, eps):
 
 def check_AE7_AE8(action, eps):
     """eps fixes its own class, and eps of t.a is ran(t eps(a))."""
-    T, K, A = action.T, action.K, action.act
-    n = K.order
-    own = A[eps.map, np.arange(n)]
-    for a in range(n):
-        if own[a] != a:
-            return False, ("fix-own-class", a)
-    lhs = eps.map[A]
-    rhs = T.rans[T.table[:, eps.map]]
-    if not np.array_equal(lhs, rhs):
-        t, a = np.argwhere(lhs != rhs)[0]
+    T, A, ar = action.T, action.act, np.arange(action.K.order)
+    moved = A[eps.map, ar] != ar
+    if moved.any():
+        return False, ("fix-own-class", int(moved.argmax()))
+    bad = eps.map[A] != T.rans[T.table[:, eps.map]]
+    if bad.any():
+        t, a = np.argwhere(bad)[0]
         return False, ("range-transport", int(t), int(a))
     return True, None
 
 
 def check_modified(action, decomp):
     """Classwise form: e fixes its fiber, and t maps fiber(e) into fiber(ran(te))."""
-    T, K, A = action.T, action.K, action.act
+    T, A, ar = action.T, action.act, np.arange(action.K.order)
     eta = decomp.eta
     embed = decomp.embed
     if embed is None:
         raise ValueError("decomposition must embed its semilattice into T")
     e_of = embed[eta.map]               # K element -> its class idempotent in T
-    n = K.order
-    for a in range(n):
-        if A[e_of[a], a] != a:
-            return False, ("class-fix", a)
-    inv_embed = {int(t): i for i, t in enumerate(embed)}
-    lhs = eta.map[A]
-    target = T.rans[T.table[:, e_of]]
-    for t in range(T.order):
-        for a in range(n):
-            if lhs[t, a] != inv_embed[int(target[t, a])]:
-                return False, ("class-transport", t, a)
+    moved = A[e_of, ar] != ar
+    if moved.any():
+        return False, ("class-fix", int(moved.argmax()))
+    class_of = np.full(T.order, -1, dtype=np.int64)    # idempotent of T -> its class
+    class_of[embed] = np.arange(len(embed))
+    bad = eta.map[A] != class_of[T.rans[T.table[:, e_of]]]
+    if bad.any():
+        t, a = np.argwhere(bad)[0]
+        return False, ("class-transport", int(t), int(a))
     return True, None
 
 
@@ -187,77 +183,56 @@ class StrongSemilattice:
     K: InverseSemigroup
     eps: EpsilonMap
     classes: dict               # idempotent of T -> members of the fiber
-    maps: dict                  # (e, f) with f <= e -> fiber(e) -> fiber(f), by position
+    maps: np.ndarray            # maps[i, a] = e_i.a for the i-th idempotent e_i of T;
+                                # on fiber(e), e_i <= e, it is the structure map to fiber(e_i)
+
+
+def _require(bad, reason, keys, label=lambda *cell: cell):
+    """Raise LawViolated at the set cell of the mask bad that sorts first by
+    keys (the most significant first, each broadcast against bad), labelled."""
+    cells = np.nonzero(bad)
+    if len(cells[0]):
+        k = np.lexsort([np.broadcast_to(key, bad.shape)[cells] for key in keys[::-1]])[0]
+        raise LawViolated(reason, label(*(int(c[k]) for c in cells)))
 
 
 def strong_semilattice(action, eps):
-    """Structure maps a -> f.a between fibers, with the three gluing laws checked."""
+    """Structure maps a -> f.a between fibers, with the gluing laws checked.
+
+    The map from fiber(e) to fiber(f), f <= e, is row f of the action, so the
+    maps are the action's rows at the idempotents of T.  Each law raises at
+    its failing cell that comes first in the order (e, f[, g], a), or (e, f,
+    a, b) for products, e and f the fibers of a and b.  That fiber(e) maps
+    identically to itself is check_AFR at eps(a) = e.
+    """
     ok, w = check_AFR(action, eps)
     if not ok:
         raise AFRViolated(w)
-    T, K, A = action.T, action.K, action.act
-    idems = sorted(set(eps.map.tolist()))
-    classes = {e: np.flatnonzero(eps.map == e) for e in idems}
-    maps = {}
-    for e in idems:
-        for f in idems:
-            if not T.leq[f, e]:
-                continue
-            img = A[f, classes[e]]
-            out = eps.map[img] != f
-            if out.any():
-                raise LawViolated("structure map leaves its fiber",
-                                  (e, f, int(classes[e][out.argmax()])))
-            maps[(e, f)] = img
-    pos = {e: {int(a): i for i, a in enumerate(classes[e])} for e in idems}
-    # identity on each fiber
-    for e in idems:
-        moved = maps[(e, e)] != classes[e]
-        if moved.any():
-            raise LawViolated("structure map of a fiber to itself moves an element",
-                              (e, int(classes[e][moved.argmax()])))
-    # transitivity down chains
-    for e in idems:
-        for f in idems:
-            if not T.leq[f, e]:
-                continue
-            for g in idems:
-                if not T.leq[g, f]:
-                    continue
-                step = np.array([maps[(f, g)][pos[f][int(x)]] for x in maps[(e, f)]])
-                differ = step != maps[(e, g)]
-                if differ.any():
-                    raise LawViolated("structure maps do not compose down a chain",
-                                      (e, f, g, int(classes[e][differ.argmax()])))
-    # products factor through the meet fiber
-    for e in idems:
-        for f in idems:
-            ef = int(T.table[e, f])
-            for i, a in enumerate(classes[e]):
-                for j, b in enumerate(classes[f]):
-                    glued = K.table[maps[(e, ef)][i], maps[(f, ef)][j]]
-                    if glued != K.table[a, b]:
-                        raise LawViolated("product does not factor through the meet fiber",
-                                          (int(a), int(b)))
-    return StrongSemilattice(K, eps, classes, maps)
+    T, K = action.T, action.K
+    E = np.array(T.idempotents)
+    maps = action.act[E]
+    a, e = np.arange(K.order), eps.map
+    under = T.leq[np.ix_(E, e)]             # under[f, a]: the f-th idempotent <= eps(a)
+    _require(under & (e[maps] != E[:, None]), "structure map leaves its fiber",
+             (e, E[:, None], a), lambda f, x: (int(e[x]), int(E[f]), x))
+    # cell [g, f, a]: g <= f <= eps(a), but g.(f.a) differs from g.a
+    chain = T.leq[np.ix_(E, E)][:, :, None] & under[None] & (maps[:, maps] != maps[:, None])
+    _require(chain, "structure maps do not compose down a chain",
+             (e, E[None, :, None], E[:, None, None], a),
+             lambda g, f, x: (int(e[x]), int(E[f]), int(E[g]), x))
+    ssl = StrongSemilattice(K, eps, {int(f): np.flatnonzero(e == f) for f in E}, maps)
+    _require(rebuild_from_structure(ssl) != K.table,
+             "product does not factor through the meet fiber",
+             (e[:, None], e[None, :], a[:, None], a[None, :]))
+    return ssl
 
 
 def rebuild_from_structure(ssl):
-    """Recompute the product table from the structure maps alone."""
-    K = ssl.K
-    T = ssl.eps.T
-    n = K.order
-    pos = {e: {int(a): i for i, a in enumerate(c)} for e, c in ssl.classes.items()}
-    out = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        e = int(ssl.eps.map[a])
-        for b in range(n):
-            f = int(ssl.eps.map[b])
-            ef = int(T.table[e, f])
-            x = ssl.maps[(e, ef)][pos[e][a]]
-            y = ssl.maps[(f, ef)][pos[f][b]]
-            out[a, b] = K.table[x, y]
-    return out
+    """Recompute the product table from the structure maps alone: ab is the
+    product of the images of a and b in the fiber of eps(a)eps(b)."""
+    T, e, a = ssl.eps.T, ssl.eps.map, np.arange(ssl.K.order)
+    m = np.searchsorted(T.idempotents, T.table[e[:, None], e[None, :]])
+    return ssl.K.table[ssl.maps[m, a[:, None]], ssl.maps[m, a[None, :]]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -69,16 +69,12 @@ def check_B2(tr, sbar=None):
     he = tr.he
     if sbar is None:
         sbar = sbar_members(tr)
-    chosen = set(int(i) for i in tr.xi)
-    leq = he.sg.leq
+    other = np.zeros(len(he.down), dtype=bool)     # generated, but not chosen
+    other[list(sbar)] = True
+    other[tr.xi] = False
     doms = he.sg.doms
-    for w in sorted(sbar):
-        if w in chosen:
-            continue
-        t = int(he.down[w])
-        if not leq[doms[w], doms[tr.xi[t]]]:
-            return False, (t, w)
-    return True, None
+    return _verdict(other & ~he.sg.leq[doms, doms[tr.xi[he.down]]],
+                    lambda w: (int(he.down[w]), w))
 
 
 def check_sB2(tr):

@@ -3,8 +3,8 @@
 A left translation satisfies lam(st) = lam(s)t, a right one (st)rho =
 s((t)rho), and a linked pair additionally s(lam(t)) = ((s)rho)t.  Inner
 pairs come from multiplication by a fixed element; the hull is the
-inverse monoid of all linked pairs, enumerated by backtracking over the
-idempotent values (which determine a translation on an inverse
+inverse monoid of all linked pairs, enumerated by a frontier search over
+the idempotent values (which determine a translation on an inverse
 semigroup) with a dumb full-scan engine as the oracle.
 
 A pair is two index arrays over S, (left, right), and several pairs are
@@ -112,45 +112,26 @@ def locate(left, right, lam, rho):
 
 
 def _one_sided_translations(table, inv):
-    """All maps with lam(st) = lam(s)t, by assigning idempotent values."""
+    """All maps with lam(st) = lam(s)t, from their values at the idempotents.
+
+    Such a map has lam(e) in Se and lam(e)f = lam(ef) = lam(f)e for
+    idempotents e, f, and lam(s) = lam(ran s)s.  A stack of partial choices
+    grows one idempotent at a time by the candidates in Se, keeping the rows
+    that satisfy the first law against every idempotent chosen before; each
+    row then extends by the second, and the translations among them stay.
+    """
     n = len(table)
     ar = np.arange(n)
-    rans = table[ar, inv]
-    idems = [e for e in range(n) if table[e, e] == e]
-    cand = {e: sorted({int(x) for x in table[:, e]}) for e in idems}
-    results = []
-    assign = {}
-    order = sorted(idems, key=lambda e: len(cand[e]))
-
-    def leaf():
-        lam = np.empty(n, dtype=np.int64)
-        for s in range(n):
-            lam[s] = table[assign[int(rans[s])], s]
-        if np.array_equal(lam[table], table[lam]):
-            results.append(lam)
-
-    def dfs(i):
-        if i == len(order):
-            leaf()
-            return
-        e = order[i]
-        for v in cand[e]:
-            ok = True
-            for f, wf in assign.items():
-                g = int(table[e, f])
-                if table[v, f] != table[wf, e]:
-                    ok = False
-                    break
-                if g in assign and assign[g] != table[v, f]:
-                    ok = False
-                    break
-            if ok:
-                assign[e] = v
-                dfs(i + 1)
-                del assign[e]
-
-    dfs(0)
-    return np.array(results)
+    idems = np.flatnonzero(table[ar, ar] == ar)
+    lam = np.zeros((1, n), dtype=np.int64)     # rows: values at the idempotents so far
+    for i, e in enumerate(idems.tolist()):
+        cand = np.flatnonzero(table[:, e] == ar)   # Se: the x with xe = x
+        lam = np.repeat(lam, len(cand), axis=0)
+        lam[:, e] = np.resize(cand, len(lam))
+        done = idems[:i]
+        lam = lam[(table[lam[:, e, None], done] == table[lam[:, done], e]).all(axis=1)]
+    lam = table[lam[:, table[ar, inv]], ar]
+    return lam[(lam[:, table] == table[lam]).all(axis=(1, 2))]
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import cache
 from itertools import groupby, product
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invsem import actions as ac
 from invsem import core, fixtures, morphisms
@@ -337,8 +339,13 @@ def test_fixture_labels_pin_enumeration_order(lsd_fixtures, rsd_fixtures):
 def test_validate_eps_rejections(catalog):
     fork, chain2, i2 = catalog["fork"], catalog["chain2"], catalog["i2"]
     ac.validate_eps(fork, chain2, [0, 0, 1])
-    with pytest.raises(ValueError):
-        ac.validate_eps(fork, i2, [0, 0, 5])  # 5 is not idempotent
+    with pytest.raises(ValueError, match=r"^eps\(2\) = 5 is not an idempotent$"):
+        ac.validate_eps(fork, i2, [0, 0, 5])
+    # the least offending element is named, values outside [0, |T|) included
+    for values, msg in (([0, 5, 1], r"eps\(1\) = 5"), ([0, -1, 9], r"eps\(1\) = -1"),
+                        ([7, 0, 1], r"eps\(0\) = 7")):
+        with pytest.raises(ValueError, match=f"^{msg} is not an idempotent$"):
+            ac.validate_eps(fork, i2, values)
     with pytest.raises(morphisms.NotMultiplicative):
         ac.validate_eps(fork, chain2, [0, 1, 1])
     from invsem.congruences import NotSurjective
@@ -426,6 +433,153 @@ def test_gluing_laws_survive_python_O(catalog):
     out = subprocess.run([sys.executable, "-O", "-c", _LEAVES_FIBER], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == f"{e.value.witness} {e.value}\n"
+
+
+# Tables of afr_sweep(4) with a cell or two changed.  Each still passes
+# check_AFR, except in the own-class cases: check_AFR at e = eps(a) is
+# eps(a).a = a, which they break.  The rows are T's elements; eps is unchanged.
+AXIOM_FORM_CASES = [
+    # (K, T, act, eps, check_AE7_AE8 witness, check_modified witness)
+    ("chain2", "trivial", [[1, 1]], [0, 0], ("fix-own-class", 0), ("class-fix", 0)),
+    ("chain4", "chain3", [[0, 1, 1, 1], [0, 1, 1, 2], [0, 1, 2, 3]], [0, 0, 1, 2],
+     ("fix-own-class", 2), ("class-fix", 2)),
+    ("chain3", "chain2", [[0, 2, 0], [0, 1, 2]], [0, 1, 1],
+     ("range-transport", 0, 1), ("class-transport", 0, 1)),
+    # row 2 is z2_zero's non-idempotent g, which check_AFR does not read
+    ("chain3", "z2_zero", [[0, 0, 0], [0, 1, 2], [0, 0, 0]], [0, 1, 1],
+     ("range-transport", 2, 1), ("class-transport", 2, 1)),
+]
+
+
+def test_axiom_form_witnesses(catalog):
+    for kn, tn, act, values, ae, mod in AXIOM_FORM_CASES:
+        K, T = catalog[kn], catalog[tn]
+        action, eps = ac.EndoAction(T, K, np.array(act)), ac.validate_eps(K, T, values)
+        assert ac.check_AFR(action, eps)[0] == (ae[0] == "range-transport"), (kn, tn)
+        assert ac.check_AE7_AE8(action, eps) == (False, ae), (kn, tn)
+        assert ac.check_modified(action, _eps_decomposition(eps)) == (False, mod), (kn, tn)
+
+
+GLUING_CASES = [
+    # (K, T, act, eps, reason, witness)
+    # (e, f, a): 0.1 = 2 and 0.2 = 1 both leave fiber(0); a = 2 comes first,
+    # as its fiber e = 1 precedes the fiber e = 2 of a = 1
+    ("fork", "fork", [[0, 2, 1], [0, 0, 2], [0, 1, 0]], [0, 2, 1],
+     "structure map leaves its fiber", (1, 0, 2)),
+    # (e, f, g, a): 0.(1.3) = 0.2 = 0, but 0.3 = 1
+    ("chain4", "chain3", [[0, 1, 0, 1], [0, 1, 2, 2], [0, 1, 2, 3]], [0, 0, 1, 2],
+     "structure maps do not compose down a chain", (2, 1, 0, 3)),
+    # (a, b): (0.1)(0.2) = 1.0 = 0, but 1.2 = 1
+    ("chain3", "chain2", [[0, 1, 0], [0, 1, 2]], [0, 0, 1],
+     "product does not factor through the meet fiber", (1, 2)),
+    # (2, 1) comes first: its fibers (0, 1) precede those of (1, 2), which are (1, 0)
+    ("square4", "chain2", [[0, 2, 2, 0], [0, 1, 2, 3]], [0, 1, 0, 1],
+     "product does not factor through the meet fiber", (2, 1)),
+]
+
+
+def test_gluing_law_witnesses(catalog):
+    for kn, tn, act, values, reason, witness in GLUING_CASES:
+        K, T = catalog[kn], catalog[tn]
+        action, eps = ac.EndoAction(T, K, np.array(act)), ac.validate_eps(K, T, values)
+        assert ac.check_AFR(action, eps) == (True, None), (kn, tn)
+        with pytest.raises(ac.LawViolated) as e:
+            ac.strong_semilattice(action, eps)
+        assert (e.value.reason, e.value.witness) == (reason, witness), (kn, tn)
+
+
+def strong_semilattice_by_loops(action, eps):
+    """The per-pair loops that the mask passes replaced, kept as their oracle:
+    raise LawViolated as strong_semilattice does, else return the rebuilt table."""
+    T, K, A = action.T, action.K, action.act
+    idems = sorted(set(eps.map.tolist()))
+    classes = {e: np.flatnonzero(eps.map == e) for e in idems}
+    maps = {}
+    for e in idems:
+        for f in idems:
+            if not T.leq[f, e]:
+                continue
+            img = A[f, classes[e]]
+            out = eps.map[img] != f
+            if out.any():
+                raise ac.LawViolated("structure map leaves its fiber",
+                                     (e, f, int(classes[e][out.argmax()])))
+            maps[(e, f)] = img
+    pos = {e: {int(a): i for i, a in enumerate(classes[e])} for e in idems}
+    for e in idems:
+        moved = maps[(e, e)] != classes[e]
+        if moved.any():
+            raise ac.LawViolated("structure map of a fiber to itself moves an element",
+                                 (e, int(classes[e][moved.argmax()])))
+    for e in idems:
+        for f in idems:
+            if not T.leq[f, e]:
+                continue
+            for g in idems:
+                if not T.leq[g, f]:
+                    continue
+                step = np.array([maps[(f, g)][pos[f][int(x)]] for x in maps[(e, f)]])
+                differ = step != maps[(e, g)]
+                if differ.any():
+                    raise ac.LawViolated("structure maps do not compose down a chain",
+                                         (e, f, g, int(classes[e][differ.argmax()])))
+    for e in idems:
+        for f in idems:
+            ef = int(T.table[e, f])
+            for i, a in enumerate(classes[e]):
+                for j, b in enumerate(classes[f]):
+                    glued = K.table[maps[(e, ef)][i], maps[(f, ef)][j]]
+                    if glued != K.table[a, b]:
+                        raise ac.LawViolated("product does not factor through the meet fiber",
+                                             (int(a), int(b)))
+    out = np.empty((K.order, K.order), dtype=np.int64)
+    for a in range(K.order):
+        e = int(eps.map[a])
+        for b in range(K.order):
+            f = int(eps.map[b])
+            ef = int(T.table[e, f])
+            out[a, b] = K.table[maps[(e, ef)][pos[e][a]], maps[(f, ef)][pos[f][b]]]
+    return out
+
+
+@cache
+def _free_cells():
+    """(action, eps, cells) for each entry of afr_sweep(4), listed once per cell
+    (f, a) that check_AFR leaves free: f is idempotent and not above eps(a), so
+    f.a may be anything but a.  Entries with more such cells, where chains of
+    three idempotents occur, are drawn more often."""
+    out = []
+    for kn, tn, action, eps in afr_sweep(4):
+        T = action.T
+        free = [(f, a) for f in T.idempotents for a in range(action.K.order)
+                if not T.leq[eps.map[a], f]]
+        out += [(action, eps, free)] * len(free)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gluing_laws_match_loops(data):
+    action, eps, free = data.draw(st.sampled_from(_free_cells()))
+    T, K = action.T, action.K
+    act = action.act.copy()
+    inside = data.draw(st.booleans())   # keep f.a in fiber(f) where f < eps(a)
+    for f, a in data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=4)):
+        if inside and T.leq[f, eps.map[a]]:
+            act[f, a] = data.draw(st.sampled_from(np.flatnonzero(eps.map == f).tolist()))
+        else:
+            act[f, a] = data.draw(st.sampled_from([v for v in range(K.order) if v != a]))
+    bad = ac.EndoAction(T, K, act)
+    assert ac.check_AFR(bad, eps) == (True, None)
+    try:
+        expect = strong_semilattice_by_loops(bad, eps)
+    except ac.LawViolated as exc:
+        with pytest.raises(ac.LawViolated) as got:
+            ac.strong_semilattice(bad, eps)
+        assert (got.value.reason, got.value.witness) == (exc.reason, exc.witness)
+    else:
+        rebuilt = ac.rebuild_from_structure(ac.strong_semilattice(bad, eps))
+        assert np.array_equal(rebuilt, expect)
 
 
 def test_check_modified_needs_embedding(catalog):

@@ -124,6 +124,7 @@ def test_validate_rejections(catalog):
     with pytest.raises(bh.TransversalInvalid) as e:
         bh.validate_transversal(bh.Transversal(he, np.array([pos_zero]), False))
     assert e.value.reason == "dominance-failure"
+    assert e.value.witness == (0, 1)    # (class, least generated pair it fails to dominate)
     # wrong fiber
     i2 = catalog["i2"]
     rees = cg.enumerate_congruences(i2)[1]
