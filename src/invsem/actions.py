@@ -72,16 +72,19 @@ def _check_laws(T, K, stack):
     """Raise at the first table of the stack (m, |T|, |K|) that is not an action.
 
     Within a table the endomorphism law t.(ab) = (t.a)(t.b) comes before the
-    action law (tu).a = t.(u.a); each raises with its least witness.
+    action law (tu).a = t.(u.a); each raises with its least witness.  The
+    endomorphism law compares |K|^2 values a row, all in [0, |K|), in the
+    dtype of K's narrow table.
     """
     m, nT, nK = stack.shape
-    Kt = K.table
+    Kt = K.narrow
     rows = stack.reshape(m * nT, nK)
+    values = rows.astype(Kt.dtype)
     endo, first = None, m       # the endomorphism failure and its table
     step = max(1, core.BLOCK_CELLS // max(1, nK * nK))
     for r0 in range(0, len(rows), step):
         blk = rows[r0:r0 + step]
-        bad = blk[:, Kt] != Kt[blk[:, :, None], blk[:, None, :]]
+        bad = values[r0:r0 + step][:, K.table] != Kt[blk[:, :, None], blk[:, None, :]]
         if bad.any():
             r, a, b = np.argwhere(bad)[0]
             first, t = divmod(r0 + int(r), nT)
@@ -123,12 +126,16 @@ def validate_eps(K, T, values):
     if not idem.all():
         a = int(idem.argmin())
         raise ValueError(f"eps({a}) = {values[a]} is not an idempotent")
-    ok = values[K.table] == T.table[values[:, None], values[None, :]]
+    # values are idempotents of T now, so they fit T's narrow dtype
+    ok = values.astype(T.narrow.dtype)[K.table] == T.narrow[values[:, None], values[None, :]]
     if not ok.all():
         a, b = np.argwhere(~ok)[0]
         raise morphisms.NotMultiplicative(int(a), int(b))
-    if set(values.tolist()) != set(T.idempotents):
-        raise congruences.NotSurjective("eps misses some idempotent of T")
+    hit = np.zeros(T.order, dtype=bool)
+    hit[values] = True
+    missed = [e for e in T.idempotents if not hit[e]]
+    if missed:
+        raise congruences.NotSurjective(f"eps misses the idempotent {missed[0]}")
     return EpsilonMap(K, T, values)
 
 
@@ -182,7 +189,6 @@ def check_modified(action, decomp):
 class StrongSemilattice:
     K: InverseSemigroup
     eps: EpsilonMap
-    classes: dict               # idempotent of T -> members of the fiber
     maps: np.ndarray            # maps[i, a] = e_i.a for the i-th idempotent e_i of T;
                                 # on fiber(e), e_i <= e, it is the structure map to fiber(e_i)
 
@@ -220,7 +226,7 @@ def strong_semilattice(action, eps):
     _require(chain, "structure maps do not compose down a chain",
              (e, E[None, :, None], E[:, None, None], a),
              lambda g, f, x: (int(e[x]), int(E[f]), int(E[g]), x))
-    ssl = StrongSemilattice(K, eps, {int(f): np.flatnonzero(e == f) for f in E}, maps)
+    ssl = StrongSemilattice(K, eps, maps)
     _require(rebuild_from_structure(ssl) != K.table,
              "product does not factor through the meet fiber",
              (e[:, None], e[None, :], a[:, None], a[None, :]))

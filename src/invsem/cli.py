@@ -11,7 +11,7 @@ import pathlib
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -86,30 +86,50 @@ def _jsonable(x):
     return x
 
 
-def _dumps(x, pad="\n"):
-    """json.dumps(x, indent=2, sort_keys=True), byte for byte, for x with
-    string keys, nested at the indent `pad`.  A flat list of ints is one
-    str.join, where the stdlib's indenting encoder, in pure Python, makes
+def _json_chunks(x, pad="\n"):
+    """json.dumps(x, indent=2, sort_keys=True), byte for byte, in pieces, for
+    x with string keys, nested at the indent `pad`.  A flat list of ints is
+    one str.join, where the stdlib's indenting encoder, in pure Python, makes
     calls per item.  A non-negative signed integer array, 1-D or 2-D, is
-    formatted by looking its values up in one array of their decimal strings."""
+    formatted by looking its values up in one array of their decimal strings;
+    a 2-D one comes in blocks of rows of about len(x) cells, so a square
+    table is never held as text all at once."""
     inner = pad + "  "
     if (isinstance(x, np.ndarray) and x.dtype.kind == "i" and x.ndim in (1, 2) and x.size
             and x.min() >= 0):
-        cells = np.array([str(i) for i in range(x.max() + 1)], dtype=object)[x].tolist()
-        if x.ndim == 2:
-            cells = [f"[{inner}  " + f",{inner}  ".join(row) + f"{inner}]" for row in cells]
-        return f"[{inner}{(',' + inner).join(cells)}{pad}]"
-    if isinstance(x, (list, tuple)) and x:
+        digits = np.array([str(i) for i in range(x.max() + 1)], dtype=object)
+        if x.ndim == 1:
+            yield f"[{inner}" + f",{inner}".join(digits[x].tolist()) + f"{pad}]"
+            return
+        step = max(1, len(x) // x.shape[1])
+        yield "["
+        for r0 in range(0, len(x), step):
+            yield ("," if r0 else "") + ",".join(
+                f"{inner}[{inner}  " + f",{inner}  ".join(row) + f"{inner}]"
+                for row in digits[x[r0:r0 + step]].tolist())
+        yield f"{pad}]"
+    elif isinstance(x, (list, tuple)) and x:
         if set(map(type, x)) == {int}:
-            body = ("," + inner).join(map(str, x))
-        else:
-            body = ("," + inner).join(_dumps(v, inner) for v in x)
-        return f"[{inner}{body}{pad}]"
-    if isinstance(x, dict) and x:
-        body = ("," + inner).join(f"{json.dumps(k)}: {_dumps(v, inner)}"
-                                  for k, v in sorted(x.items()))
-        return f"{{{inner}{body}{pad}}}"
-    return json.dumps(x)    # scalars and empty containers
+            yield f"[{inner}" + ("," + inner).join(map(str, x)) + f"{pad}]"
+            return
+        for i, v in enumerate(x):
+            yield "," + inner if i else "[" + inner
+            yield from _json_chunks(v, inner)
+        yield f"{pad}]"
+    elif isinstance(x, dict) and x:
+        for i, (k, v) in enumerate(sorted(x.items())):
+            yield ("," if i else "{") + f"{inner}{json.dumps(k)}: "
+            yield from _json_chunks(v, inner)
+        yield pad + "}"
+    else:
+        yield json.dumps(x)     # scalars and empty containers
+
+
+def _write_json(x, stream):
+    """Write json.dumps(x, indent=2, sort_keys=True) and a newline to
+    stream, piece by piece."""
+    stream.writelines(_json_chunks(x))
+    stream.write("\n")
 
 
 def _digest(path):
@@ -178,7 +198,7 @@ def _emit(report, args, stream=None):
     if stream is None:
         stream = sys.stdout
     if getattr(args, "json", False):
-        stream.write(_dumps(report.to_dict()) + "\n")
+        _write_json(report.to_dict(), stream)
     else:
         stream.write(report.render_text() + "\n")
 
@@ -275,12 +295,11 @@ def cmd_product(args):
         "k_order": K.order,
         "t_order": T.order,
     }
-    text = _dumps(out)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            _write_json(out, fh)
     else:
-        sys.stdout.write(text + "\n")
+        _write_json(out, sys.stdout)
     report.checks.append(Check("validated", True))
     report.extra["order"] = P.sg.order
     return report
@@ -672,7 +691,9 @@ class UsageError(Exception):
     pass
 
 
+@cache
 def build_parser():
+    """The parser, built once per process: parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="invsem",
         description="workbench for finite inverse semigroups: products, "
@@ -741,9 +762,8 @@ def build_parser():
 
 
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0), None
     t0 = time.time()

@@ -16,11 +16,11 @@ D-class and strictly smaller below it, so the few maximal D-classes come
 first and generate most of the table; a wreath product of order 290 needs 7
 generators this way, against 282 in index order.  Tables of at most
 `CUBE_CELLS` triples skip the search and compare the whole cube at once.
-The inverses are then found in one array pass; every check reads a uint8 or
-uint16 copy of the table.
+The inverses are then found in one array pass; every check reads the uint8
+or uint16 copy of the table that `FiniteSemigroup.narrow` keeps.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -60,6 +60,15 @@ class FiniteSemigroup:
     order: int
     table: np.ndarray
     names: tuple | None = None
+    # a read-only copy of the table in the narrowest unsigned dtype that holds
+    # order - 1, uint8 up to order 256 and uint16 above: checks that touch
+    # n^2 cells gather from it, while the table itself stays int64
+    narrow: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        narrow = self.table.astype(np.min_scalar_type(self.order - 1))
+        narrow.flags.writeable = False
+        object.__setattr__(self, "narrow", narrow)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +88,10 @@ class InverseSemigroup:
     @property
     def names(self):
         return self.base.names
+
+    @property
+    def narrow(self):
+        return self.base.narrow
 
     def mul(self, a, b):
         return int(self.table[a, b])
@@ -189,8 +202,8 @@ def _assoc_witness(T):
 def validate(table, names=None):
     """Check a Cayley table and enrich it into an InverseSemigroup.
 
-    The inverse map is computed, never supplied: one array pass, on a uint8
-    or uint16 copy of the table, finds each a's unique x with axa = a, xax = x.
+    The inverse map is computed, never supplied: one array pass, on the
+    narrow copy of the table, finds each a's unique x with axa = a, xax = x.
     """
     if isinstance(table, FiniteSemigroup):
         base = table
@@ -202,7 +215,7 @@ def validate(table, names=None):
     n = base.order
     if base.table.min() < 0 or base.table.max() >= n:
         raise ValueError("table entries must lie in [0, n)")
-    T = base.table.astype(np.min_scalar_type(n - 1))
+    T = base.narrow
     w = _assoc_witness(T)
     if w is not None:
         raise NotAssociative(*w)

@@ -60,13 +60,13 @@ def is_homomorphism(values, S, S2):
         raise ValueError(f"map must assign all {S.order} elements")
     if len(m) and (m.min() < 0 or m.max() >= S2.order):
         raise ValueError("map values out of range")
-    ok = m[S.table] == S2.table[m[:, None], m[None, :]]
+    # the values lie in [0, |S2|), so they are compared in S2's narrow dtype
+    ok = m.astype(S2.narrow.dtype)[S.table] == S2.narrow[m[:, None], m[None, :]]
     if not ok.all():
         a, b = np.argwhere(~ok)[0]
         raise NotMultiplicative(int(a), int(b))
-    inj = len(set(m.tolist())) == S.order
-    surj = len(set(m.tolist())) == S2.order
-    return Morphism(S, S2, m, inj, surj)
+    distinct = len(set(m.tolist()))
+    return Morphism(S, S2, m, distinct == S.order, distinct == S2.order)
 
 
 def _profiles(S):

@@ -16,7 +16,8 @@ wreaths: a map's value at x ranges over a fiber of K, all of K for hwr and
 the kernel class over ran(x) for the eta-wreath, so P_eta is built from
 kernel classes, not filtered out of the whole power.  Every power and
 wreath is refused past WREATH_CAP before its table exists: a pair product
-of order m holds several m x m int64 arrays at once.
+of order m holds its m x m int64 table and, while building it, a few m x m
+intermediates in the narrow dtypes of K and T.
 """
 
 import dataclasses
@@ -86,7 +87,7 @@ def _pair_names(K, T, elements):
 def _build_pair_product(K, T, action, eps, carrier):
     """The pairs where the |K| x |T| mask carrier holds, a-major, under the
     restricted rule when eps is given and the shrinking rule otherwise."""
-    act = action.act
+    act = action.act.astype(K.narrow.dtype)       # values in [0, |K|)
     elements = np.argwhere(carrier)
     A, U = elements.T
     m = len(elements)
@@ -94,17 +95,20 @@ def _build_pair_product(K, T, action, eps, carrier):
     def label(i):
         return tuple(elements[i].tolist())
 
-    t_new = T.table[U[:, None], U[None, :]]
+    # the m x m intermediates hold K and T elements in their narrow dtypes
+    rans = T.rans.astype(T.narrow.dtype)
+    t_new = T.narrow[U[:, None], U[None, :]]
     second = act[U[:, None], A[None, :]]          # t_i . a_j
-    shrunk = act[T.rans[t_new], A[:, None]]       # ran(t_i t_j) . a_i
-    a_new = K.table[shrunk, second]
+    shrunk = act[rans[t_new], A[:, None]]         # ran(t_i t_j) . a_i
+    a_new = K.narrow[shrunk, second]
     if eps is not None:
         # on the restricted carrier the shrink is a no-op
-        _require(K.table[np.broadcast_to(A[:, None], (m, m)), second] != a_new,
+        _require(K.narrow[A[:, None], second] != a_new,
                  "shrinking and restricted rules disagree", label)
     pairdex = np.full((K.order, T.order), -1, dtype=np.int64)
     pairdex[A, U] = np.arange(m)
     table = pairdex[a_new, t_new]
+    del t_new, second, shrunk, a_new              # before the checks of the table
     _require(table < 0, "carrier not closed under the pair rule", label)
     sg = core.validate(table, names=_pair_names(K, T, elements))
     # the inverse of (a,t) is (t^-1 . a^-1, t^-1)
@@ -191,7 +195,8 @@ class PointwisePower:
     blocks: dict                # e -> (offset, count)
     ideals: dict                # e -> Te, ascending
     values: dict                # e -> (count, |Te|) array: the values of block e's maps
-    rank: np.ndarray            # [x, k]: the digit of value k at x, -1 outside its fiber
+    rank: np.ndarray            # [x, k]: the digit of value k at x, -1 outside its fiber;
+                                # a signed dtype just wide enough
     weights: dict               # e -> the place value of each point's digit in block e
     sg: InverseSemigroup
     action: EndoAction
@@ -199,7 +204,9 @@ class PointwisePower:
 
     def encode(self, e, values, what="map", operands=lambda *ix: ix):
         """Indices of the maps on Te with these values (last axis over Te);
-        a value outside its fiber raises ProductInvalid naming the operands."""
+        a value outside its fiber raises ProductInvalid naming the operands.
+        The digits stay in rank's narrow dtype: einsum sums them into int64
+        without an int64 copy of the whole block."""
         points = self.ideals[e]
         d = self.rank[points, values]
         if (d < 0).any():
@@ -207,7 +214,9 @@ class PointwisePower:
             raise ProductInvalid(f"{what} value outside its fiber", {
                 "operands": operands(*ops), "point": int(points[k]),
                 "value": int(values[(*ops, k)])})
-        return self.blocks[e][0] + d @ self.weights[e]
+        code = np.einsum("...k,k->...", d, self.weights[e])
+        code += self.blocks[e][0]
+        return code
 
 
 def build_pkt(K, T, fibers=None):
@@ -224,7 +233,7 @@ def build_pkt(K, T, fibers=None):
     total = sum(sizes.values())
     if total > WREATH_CAP:
         raise TooLarge("pointwise power order", total, WREATH_CAP)
-    rank = np.full((T.order, K.order), -1, dtype=np.int64)
+    rank = np.full((T.order, K.order), -1, dtype=np.min_scalar_type(-K.order))
     for x, f in enumerate(fibers):
         rank[x, f] = np.arange(len(f))
     blocks, V, weights = {}, {}, {}
@@ -246,9 +255,10 @@ def build_pkt(K, T, fibers=None):
             step = max(1, core.BLOCK_CELLS // max(1, mf * len(ixe)))
             for r0 in range(0, me, step):
                 Av = V[e][r0:r0 + step][:, ixe]
-                C = K.table[Av[:, None, :], Bv[None, :, :]]
+                # the pointwise products, in K's narrow dtype
                 table[oe + r0:oe + r0 + len(Av), of:of + mf] = pkt.encode(
-                    g, C, "product", lambda i, j: (oe + r0 + i, of + j))
+                    g, K.narrow[Av[:, None, :], Bv[None, :, :]], "product",
+                    lambda i, j: (oe + r0 + i, of + j))
     names = None
     if total <= NAME_CAP:
         names = tuple("{" + ",".join(f"{T.name_of(x)}>{K.name_of(v)}"
@@ -345,8 +355,9 @@ def build_lwr(K, T):
     table = np.empty((nP, nP), dtype=np.int64)
     step = max(1, core.BLOCK_CELLS // max(1, nP * nT))
     for r0 in range(0, nP, step):
-        C = K.table[D[r0:r0 + step, None, :], D[None, :, :]]
-        table[r0:r0 + len(C)] = C @ w
+        # coordinatewise products in K's narrow dtype, summed into int64 by einsum
+        C = K.narrow[D[r0:r0 + step, None, :], D[None, :, :]]
+        table[r0:r0 + len(C)] = np.einsum("...k,k->...", C, w)
     power = core.validate(table)
     # inverses and idempotents are taken coordinatewise
     _require(power.inv != K.inv[D] @ w, "power inverse differs from the coordinate formula")

@@ -349,7 +349,7 @@ def test_validate_eps_rejections(catalog):
     with pytest.raises(morphisms.NotMultiplicative):
         ac.validate_eps(fork, chain2, [0, 1, 1])
     from invsem.congruences import NotSurjective
-    with pytest.raises(NotSurjective):
+    with pytest.raises(NotSurjective, match=r"^eps misses the idempotent 1$"):
         ac.validate_eps(fork, chain2, [0, 0, 0])
     with pytest.raises(ValueError):
         ac.validate_eps(fork, chain2, [0, 0])
@@ -386,9 +386,9 @@ def test_strong_semilattice_rebuild():
     for kn, tn, action, eps in afr_sweep(3):
         ssl = ac.strong_semilattice(action, eps)
         assert np.array_equal(ac.rebuild_from_structure(ssl), action.K.table)
-        # fibers partition K
-        total = sum(len(c) for c in ssl.classes.values())
-        assert total == action.K.order
+        # the fibers over the idempotents of T partition K, and none is empty
+        sizes = np.bincount(ssl.eps.map, minlength=action.T.order)[list(action.T.idempotents)]
+        assert sizes.sum() == action.K.order and sizes.all()
 
 
 def test_strong_semilattice_needs_axiom(catalog):
@@ -486,6 +486,35 @@ def test_gluing_law_witnesses(catalog):
         with pytest.raises(ac.LawViolated) as e:
             ac.strong_semilattice(action, eps)
         assert (e.value.reason, e.value.witness) == (reason, witness), (kn, tn)
+
+
+def test_chain_law_names_the_first_chain_in_fiber_order(catalog):
+    """z2 x chain_n over chain_n by the second coordinate, acted on by
+    t.(x, b) = (x, min(t, b)), with two cells of row 0 changed so that
+    g.(f.a) != g.a at two or more cells.  The witness is the least
+    (e, f, g, a), as the loops find it.  Over chain4 a scan in the
+    mask's own (g, f, a) order would name (3, 1, 0, 3) first."""
+    for n, cells, failing in (
+            (3, {(0, 1): 3, (0, 4): 0}, [(2, 1, 0, 2), (2, 1, 0, 5)]),
+            (4, {(0, 3): 4, (0, 6): 0}, [(2, 1, 0, 6), (3, 1, 0, 3), (3, 2, 0, 3), (3, 2, 0, 7)])):
+        T = catalog[f"chain{n}"]
+        K = core.direct_product(catalog["z2"], T)       # (x, b) is element x * n + b
+        x, b = np.divmod(np.arange(K.order), n)
+        act = x * n + np.minimum(np.arange(n)[:, None], b)
+        ac.validate_action(T, K, act)
+        eps = ac.validate_eps(K, T, b)
+        for cell, v in cells.items():
+            act[cell] = v
+        bad = ac.EndoAction(T, K, act)
+        assert ac.check_AFR(bad, eps) == (True, None)
+        assert sorted((int(eps.map[a]), f, g, a) for g in T.idempotents for f in T.idempotents
+                      for a in range(K.order) if T.leq[g, f] and T.leq[f, eps.map[a]]
+                      and act[g, act[f, a]] != act[g, a]) == failing
+        for check in (ac.strong_semilattice, strong_semilattice_by_loops):
+            with pytest.raises(ac.LawViolated) as e:
+                check(bad, eps)
+            assert (e.value.reason, e.value.witness) == \
+                ("structure maps do not compose down a chain", failing[0]), (n, check)
 
 
 def strong_semilattice_by_loops(action, eps):

@@ -25,6 +25,11 @@ def inst(tmp_path, name, S):
 MIN3 = [[0, 0, 0], [0, 1, 1], [0, 1, 2]]
 
 
+def dumps(x):
+    """What cli writes for x, without the closing newline."""
+    return "".join(cli._json_chunks(x))
+
+
 def test_validate_good(tmp_path, capsys):
     path = write(tmp_path, "chain3.json", {"order": 3, "table": MIN3})
     code, report = cli.run(["validate", path])
@@ -298,24 +303,25 @@ json_values = st.recursive(
 @given(json_values)
 @settings(max_examples=200, deadline=None)
 def test_dumps_matches_the_stdlib(x):
-    assert cli._dumps(x) == json.dumps(x, indent=2, sort_keys=True)
+    assert dumps(x) == json.dumps(x, indent=2, sort_keys=True)
 
 
 def test_dumps_examples():
     for x in ([], {}, (), [[]], [{}], {"": ()}, [1, True], [2**70, -1], {"é": "ü\n"},
               [1.5, float("nan"), float("-inf")], {"b": [{"a": [0]}], "a": None}):
-        assert cli._dumps(x) == json.dumps(x, indent=2, sort_keys=True), x
+        assert dumps(x) == json.dumps(x, indent=2, sort_keys=True), x
 
 
 @pytest.mark.parametrize("x", [np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.int64),
                                np.array([3, 0, 256, 1000, 255]),
                                np.arange(12).reshape(3, 4) * 300,
-                               np.array([[1, 0], [0, 1], [5, 2]])])
+                               np.array([[1, 0], [0, 1], [5, 2]]),
+                               np.arange(14).reshape(7, 2)])   # rows in blocks of 3, 3, 1
 def test_dumps_of_integer_arrays_matches_the_stdlib(x):
     assert x.dtype == np.int64
-    assert cli._dumps(x) == json.dumps(x.tolist(), indent=2, sort_keys=True)
+    assert dumps(x) == json.dumps(x.tolist(), indent=2, sort_keys=True)
     nested = {"a": [x.tolist()], "t": x.tolist()}
-    assert cli._dumps({"a": [x], "t": x}) == json.dumps(nested, indent=2, sort_keys=True)
+    assert dumps({"a": [x], "t": x}) == json.dumps(nested, indent=2, sort_keys=True)
 
 
 def test_product_file_is_the_stdlib_indented_dump(tmp_path, capsys, catalog):
@@ -329,6 +335,16 @@ def test_product_file_is_the_stdlib_indented_dump(tmp_path, capsys, catalog):
     # lists of lines, so that a failure names the first differing line
     # instead of diffing two 80,000-line strings
     assert text.splitlines(True) == expected.splitlines(True)
+
+
+def test_product_of_order_780_stays_under_24_MiB(tmp_path, capsys, catalog, peak_traced):
+    k = inst(tmp_path, "b2.json", catalog["b2"])
+    t = inst(tmp_path, "chain4.json", catalog["chain4"])
+    out = tmp_path / "hwr.json"
+    argv = ["product", "hwr", "--k", k, "--t", t, "-o", str(out)]
+    # building the file as one string, then copying it, peaked at 56.2 MiB
+    assert peak_traced(lambda: cli.run(argv)) < 24 * 2**20
+    assert json.loads(out.read_text())["order"] == 780
 
 
 def test_trhull_cmd(tmp_path, capsys, catalog):
@@ -521,8 +537,18 @@ def test_json_flag_before_or_after_the_subcommand(tmp_path, capsys):
         code, report = cli.run(argv)
         assert code == 0
         assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(report.to_dict()))
-    cli.run(["validate", path])
-    assert capsys.readouterr().out.startswith("PASS")
+        # every run shares one parser: the flag of one run does not carry over
+        cli.run(["validate", path])
+        assert capsys.readouterr().out.startswith("PASS")
+
+
+def test_run_builds_the_parser_once(tmp_path, capsys):
+    path = write(tmp_path, "chain3.json", {"order": 3, "table": MIN3})
+    cli.build_parser.cache_clear()
+    for argv in (["validate", path], ["--json", "congruences", path],
+                 ["validate", path, "--json"], ["verify", "remark-4.3"], ["validate"]):
+        cli.run(argv)
+    assert cli.build_parser.cache_info()[:2] == (4, 1)    # (hits, misses): one build
 
 
 def test_verify_reports_sweep_time(tmp_path, capsys):

@@ -5,7 +5,6 @@ import os
 import pkgutil
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -176,20 +175,17 @@ def test_light_generators_come_from_the_top_of_the_J_order(catalog, k, t, n,
     assert core.product_closure(T, plain).all()
 
 
-def test_validate_memory_stays_small(catalog):
+def test_validate_memory_stays_small(catalog, peak_traced):
     T = products.build_hwr(catalog["chain2"], catalog["i2"]).sg.table
     assert len(T) == 290
     bad = corrupted(T)
-    tracemalloc.start()
-    try:
+
+    def both():
         validate(T)
         with pytest.raises(NotAssociative):
             validate(bad)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     # a check in blocks of 2^24 cells would hold two int64 blocks, about 268 MB
-    assert peak < 16 * 2**20
+    assert peak_traced(both) < 16 * 2**20
 
 
 def validate_by_loop(table):
@@ -282,16 +278,10 @@ def test_chains_across_the_narrow_dtype_boundary(n, narrow):
         assert outcome(validate, bad) == outcome(validate_by_loop, bad)
 
 
-def test_validate_of_the_order_780_wreath_stays_under_6_MiB(catalog):
+def test_validate_of_the_order_780_wreath_stays_under_6_MiB(catalog, peak_traced):
     T = products.build_hwr(catalog["b2"], catalog["chain4"]).sg.table
-    tracemalloc.start()
-    try:
-        validate(T)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     # the int64 checks peaked at 9.9 MiB
-    assert peak < 6 * 2**20
+    assert peak_traced(lambda: validate(T)) < 6 * 2**20
 
 
 def test_validate_rejects_missing_inverse():

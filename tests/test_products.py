@@ -153,6 +153,28 @@ def test_hwr_orders(catalog):
             assert len(mem) == K.order ** T.order
 
 
+def test_encode_names_the_first_value_outside_its_fiber(catalog):
+    """The witness is the first bad cell in row-major order over (operands,
+    point): row 1's second point, not row 2's first."""
+    pkt = pr.build_pkt(catalog["chain2"], catalog["chain2"], [np.array([0]), np.array([1])])
+    assert pkt.rank.dtype == np.int8
+    assert pkt.encode(1, np.array([[0, 1]])).tolist() == [1]
+    with pytest.raises(pr.ProductInvalid) as e:
+        pkt.encode(1, np.array([[0, 1], [0, 0], [1, 1]]))
+    assert e.value.witness == {"operands": (1,), "point": 1, "value": 0}
+
+
+def test_hwr_build_of_order_780_stays_under_24_MiB(catalog, peak_traced):
+    # the int64 intermediates peaked at 56.1 MiB: the action-law check alone
+    # held two (4, 780, 780) int64 arrays
+    built = []
+    assert peak_traced(lambda: built.append(pr.build_hwr(catalog["b2"], catalog["chain4"]))) \
+        < 24 * 2**20
+    (hw,) = built
+    assert hw.sg.order == hw.pkt.sg.order == 780
+    assert hw.sg.table.dtype == hw.pkt.sg.table.dtype == hw.pkt.action.act.dtype == np.int64
+
+
 def test_total_and_ideal_forms_are_isomorphic(catalog):
     for kn, tn in [("z2", "chain2"), ("z2_zero", "chain2"), ("chain2", "chain2")]:
         K, T = catalog[kn], catalog[tn]
