@@ -73,21 +73,28 @@ def _check_laws(T, K, stack):
 
     Within a table the endomorphism law t.(ab) = (t.a)(t.b) comes before the
     action law (tu).a = t.(u.a); each raises with its least witness.  The
-    endomorphism law compares |K|^2 values a row, all in [0, |K|), in the
-    dtype of K's narrow table.
+    endomorphism law is a homomorphism law on K, so, as in
+    `InverseSemigroup.law_witness`, it is proved on the rows a of K's
+    generators against every b, |K| values a generator in the dtype of K's
+    narrow table; all |K|^2 cells are read only for the first table row
+    that fails, to name its least witness.
     """
     m, nT, nK = stack.shape
     Kt = K.narrow
     rows = stack.reshape(m * nT, nK)
     values = rows.astype(Kt.dtype)
+    gens = np.arange(nK) if K.generators is None else np.array(K.generators)
     endo, first = None, m       # the endomorphism failure and its table
-    step = max(1, core.BLOCK_CELLS // max(1, nK * nK))
+    step = max(1, core.BLOCK_CELLS // max(1, len(gens) * nK))
     for r0 in range(0, len(rows), step):
         blk = rows[r0:r0 + step]
-        bad = values[r0:r0 + step][:, K.table] != Kt[blk[:, :, None], blk[:, None, :]]
-        if bad.any():
-            r, a, b = np.argwhere(bad)[0]
-            first, t = divmod(r0 + int(r), nT)
+        # bad[r, i, b]: row r0 + r breaks the law at (gens[i], b)
+        bad = values[r0:r0 + step][:, K.table[gens]] != Kt[blk[:, gens, None], blk[:, None, :]]
+        broken = bad.any(axis=(1, 2))
+        if broken.any():
+            r = r0 + int(broken.argmax())
+            first, t = divmod(r, nT)
+            a, b = np.argwhere(values[r][K.table] != Kt[rows[r][:, None], rows[r]])[0]
             endo = NotEndomorphism(t, int(a), int(b))
             break
     step = max(1, core.BLOCK_CELLS // max(1, nT * nT * nK))
@@ -127,10 +134,10 @@ def validate_eps(K, T, values):
         a = int(idem.argmin())
         raise ValueError(f"eps({a}) = {values[a]} is not an idempotent")
     # values are idempotents of T now, so they fit T's narrow dtype
-    ok = values.astype(T.narrow.dtype)[K.table] == T.narrow[values[:, None], values[None, :]]
-    if not ok.all():
-        a, b = np.argwhere(~ok)[0]
-        raise morphisms.NotMultiplicative(int(a), int(b))
+    narrow = values.astype(T.narrow.dtype)
+    w = K.law_witness(lambda a: narrow[K.table[a]] != T.narrow[values[a, None], values])
+    if w is not None:
+        raise morphisms.NotMultiplicative(*w)
     hit = np.zeros(T.order, dtype=bool)
     hit[values] = True
     missed = [e for e in T.idempotents if not hit[e]]
@@ -300,10 +307,7 @@ def enumerate_actions(T, K):
     An action is a homomorphism from T into End(K) under composition; the
     generators come first in the search, and they force every other value.
     """
-    endos = enumerate_endomorphisms(K)
-    # lexicographic order makes the base-|K| codes of the endomorphisms sorted
-    weights = K.order ** np.arange(K.order - 1, -1, -1)
-    comp = np.searchsorted(endos @ weights, endos[:, endos] @ weights)  # (i after j)
+    endos, comp = K.endomorphisms
     gens = core.product_generators(T.table)
     order = gens + [t for t in range(T.order) if t not in gens]
     found = morphisms.search_homomorphisms(T.table, comp, [range(len(endos))] * T.order, order)

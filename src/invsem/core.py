@@ -14,10 +14,17 @@ from the top of the J-order down: elements with the largest row image |aS|
 first.  In an inverse semigroup aS = aa^-1 S, and |eS| is constant on a
 D-class and strictly smaller below it, so the few maximal D-classes come
 first and generate most of the table; a wreath product of order 290 needs 7
-generators this way, against 282 in index order.  Tables of at most
-`CUBE_CELLS` triples skip the search and compare the whole cube at once.
-The inverses are then found in one array pass; every check reads the uint8
-or uint16 copy of the table that `FiniteSemigroup.narrow` keeps.
+generators this way, against 282 in index order.  The closure behind the
+greedy search (`product_closure`) multiplies on the right by the seeds
+only, about n products per generator.  Tables of at most `CUBE_CELLS`
+triples skip the search and compare the whole cube at once.  The inverses
+are then found in one array pass; every check reads the uint8 or uint16
+copy of the table that `FiniteSemigroup.narrow` keeps.
+
+`validate` keeps the generating set as `InverseSemigroup.generators`, and
+every law of the form f(ab) = f(a)f(b), f into an associative target, is
+then proved on its rows (`InverseSemigroup.law_witness`): homomorphisms,
+eps maps and the endomorphism law of an action.
 """
 
 from dataclasses import dataclass, field
@@ -76,6 +83,9 @@ class InverseSemigroup:
     base: FiniteSemigroup
     inv: np.ndarray
     idempotents: tuple
+    # the set Light's test ran on, which generates the semigroup; None when the
+    # whole cube was compared, and for tables not built by validate
+    generators: tuple | None = None
 
     @property
     def order(self):
@@ -130,6 +140,34 @@ class InverseSemigroup:
         elems.flags.writeable = False
         return E, elems
 
+    @cached_property
+    def endomorphisms(self):
+        """(End(S) in lexicographic order, comp), comp[i, j] the index of
+        endomorphism i after endomorphism j; both read-only, found once per S."""
+        from . import actions       # actions builds on this module
+        endos = actions.enumerate_endomorphisms(self)
+        # lexicographic order makes the base-n codes of the endomorphisms sorted
+        weights = self.order ** np.arange(self.order - 1, -1, -1)
+        comp = np.searchsorted(endos @ weights, endos[:, endos] @ weights)
+        endos.flags.writeable = comp.flags.writeable = False
+        return endos, comp
+
+    def law_witness(self, bad_rows):
+        """Least (a, b) at which a law f(ab) = f(a)f(b) fails, f a map from S
+        into an associative target, or None.
+
+        bad_rows(rows) is the mask of failures over (a, b), a in rows (an
+        index array or a slice) and b over all of S.  With `generators` known,
+        their rows decide: {a : f(ab) = f(a)f(b) for every b} is closed under
+        products, so it is all of S once it holds a generating set.  All rows
+        are scanned only when a generator row fails, for the least witness.
+        """
+        if self.generators is not None and not bad_rows(np.array(self.generators)).any():
+            return None
+        bad = bad_rows(slice(None))
+        k = int(bad.argmax())
+        return divmod(k, self.order) if bad.flat[k] else None
+
     def natural_leq(self, a, b):
         return bool(self.leq[a, b])
 
@@ -178,17 +216,13 @@ def _light_generators(T):
     return product_generators(T, np.argsort(-seen.sum(axis=1), kind="stable"))
 
 
-def _assoc_witness(T):
-    """Least (a,b,c) with (ab)c != a(bc), or None.
-
-    A small table is compared over the whole cube in one pass.  Otherwise
-    Light's test on `_light_generators` decides; only when it fails are the
-    rows scanned, in order, for the least witness.
-    """
-    if len(T) ** 3 <= CUBE_CELLS:
-        bad = np.argwhere(T[T] != T[:, T])     # bad[a, b, c]: (ab)c != a(bc)
-        return tuple(int(x) for x in bad[0]) if len(bad) else None
-    if all((T[T[:, a]] == T[:, T[a]]).all() for a in _light_generators(T)):
+def _light_witness(T, gens):
+    """Least (a,b,c) with (ab)c != a(bc), or None, given gens that generate
+    T as a magma: Light's test on gens decides, and only when it fails are
+    the rows scanned, in order, for the least witness."""
+    Tt = np.ascontiguousarray(T.T)      # Tt[y, x] = xy: rows of Tt are columns of T
+    # (xa)y over the rows of T at Tt[a], x(ay) over the rows of Tt at T[a], as [y, x]
+    if all((T[Tt[a]] == Tt[T[a]].T).all() for a in gens):
         return None
     for a in range(len(T)):
         left = T[T[a]]         # left[b,c] = (ab)c
@@ -199,11 +233,25 @@ def _assoc_witness(T):
     raise AssertionError("Light's test failed on an associative table")
 
 
+def _assoc_witness(T):
+    """Least (a,b,c) with (ab)c != a(bc), or None.
+
+    A small table is compared over the whole cube in one pass, a larger one
+    by Light's test on `_light_generators`.
+    """
+    if len(T) ** 3 <= CUBE_CELLS:
+        bad = np.argwhere(T[T] != T[:, T])     # bad[a, b, c]: (ab)c != a(bc)
+        return tuple(int(x) for x in bad[0]) if len(bad) else None
+    return _light_witness(T, _light_generators(T))
+
+
 def validate(table, names=None):
     """Check a Cayley table and enrich it into an InverseSemigroup.
 
     The inverse map is computed, never supplied: one array pass, on the
     narrow copy of the table, finds each a's unique x with axa = a, xax = x.
+    Past `CUBE_CELLS` the result keeps the set Light's test ran on as its
+    `generators`.
     """
     if isinstance(table, FiniteSemigroup):
         base = table
@@ -216,7 +264,8 @@ def validate(table, names=None):
     if base.table.min() < 0 or base.table.max() >= n:
         raise ValueError("table entries must lie in [0, n)")
     T = base.narrow
-    w = _assoc_witness(T)
+    gens = None if n ** 3 <= CUBE_CELLS else tuple(_light_generators(T))
+    w = _assoc_witness(T) if gens is None else _light_witness(T, gens)
     if w is not None:
         raise NotAssociative(*w)
     ar = np.arange(n)
@@ -236,7 +285,7 @@ def validate(table, names=None):
             raise NotRegular(a)
         raise ValueError(f"element {a} has inverses {int(cand[0])} and {int(cand[1])}, "
                          f"though idempotents commute")
-    return InverseSemigroup(base, partner.argmax(axis=1), tuple(int(e) for e in idem))
+    return InverseSemigroup(base, partner.argmax(axis=1), tuple(int(e) for e in idem), gens)
 
 
 def dom(S, a):
@@ -257,25 +306,30 @@ def principal_left_ideal(S, t):
 
 
 def product_closure(table, seeds, inside=None):
-    """Least set of indices containing seeds and closed under the table's
-    product, as a boolean mask.
+    """Least set of indices containing the seeds and closed under right
+    multiplication by them, as a boolean mask.
 
-    Given `inside`, the mask of a set already closed, the closure of that set
-    and the seeds is marked in it in place.  Only products with a new element
-    are formed, so growing a set one seed at a time to all n elements forms
-    about 2n^2 products in total.  No associativity is assumed.
+    Each member is a product ((s1 s2) s3)... of seeds, so on an associative
+    table this is the subsemigroup the seeds generate, and on any table
+    seeds whose closure is everything generate it as a magma, which is all
+    Light's test needs.  Given `inside`, a mask already closed under right
+    multiplication by the seeds it holds, the closure is marked in it in
+    place: the members are multiplied by the seeds not inside yet, and each
+    new member by every seed, so growing a set one seed at a time to all n
+    elements forms about n products per seed.  No associativity is assumed.
     """
     if inside is None:
         inside = np.zeros(len(table), dtype=bool)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    new = seeds[~inside[seeds]]
     fresh = np.zeros_like(inside)
-    frontier = np.array(sorted({int(x) for x in seeds if not inside[x]}), dtype=np.int64)
+    fresh[table[np.flatnonzero(inside)[:, None], new]] = True
+    fresh[new] = True
+    frontier = np.flatnonzero(fresh > inside)
     while len(frontier):
         inside[frontier] = True
-        members = np.flatnonzero(inside)
-        fresh[table[frontier[:, None], members]] = True
-        fresh[table[members[:, None], frontier]] = True
-        fresh[members] = False
-        frontier = np.flatnonzero(fresh)
+        fresh[table[frontier[:, None], seeds]] = True
+        frontier = np.flatnonzero(fresh > inside)
     return inside
 
 
@@ -288,7 +342,7 @@ def product_generators(table, order=None):
     for a in range(len(table)) if order is None else order:
         if not inside[a]:
             gens.append(int(a))
-            product_closure(table, [a], inside)
+            product_closure(table, gens, inside)
     return gens
 
 
@@ -298,7 +352,7 @@ def generated_subsemigroup(S, gens):
     if not seed:
         raise ValueError("gens must be nonempty")
     # (ab)^-1 = b^-1 a^-1, so closing inverse-closed generators under products keeps inverses
-    closed = product_closure(S.table, seed | {int(S.inv[g]) for g in seed})
+    closed = product_closure(S.table, sorted(seed | {int(S.inv[g]) for g in seed}))
     return ElementSet(S, frozenset(np.flatnonzero(closed).tolist()))
 
 

@@ -55,16 +55,23 @@ class Morphism:
 
 
 def is_homomorphism(values, S, S2):
+    """The map a -> values[a] from S to S2 as a Morphism, or NotMultiplicative
+    at the least (a, b) with values[ab] != values[a]values[b].
+
+    The law is proved on the rows of S's generators against every b
+    (`InverseSemigroup.law_witness`), |A| |S| cells; all |S|^2 are read only
+    when a generator row fails, to name the least witness.
+    """
     m = np.asarray(values, dtype=np.int64)
     if m.shape != (S.order,):
         raise ValueError(f"map must assign all {S.order} elements")
     if len(m) and (m.min() < 0 or m.max() >= S2.order):
         raise ValueError("map values out of range")
     # the values lie in [0, |S2|), so they are compared in S2's narrow dtype
-    ok = m.astype(S2.narrow.dtype)[S.table] == S2.narrow[m[:, None], m[None, :]]
-    if not ok.all():
-        a, b = np.argwhere(~ok)[0]
-        raise NotMultiplicative(int(a), int(b))
+    narrow = m.astype(S2.narrow.dtype)
+    w = S.law_witness(lambda a: narrow[S.table[a]] != S2.narrow[m[a, None], m])
+    if w is not None:
+        raise NotMultiplicative(*w)
     distinct = len(set(m.tolist()))
     return Morphism(S, S2, m, distinct == S.order, distinct == S2.order)
 

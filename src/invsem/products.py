@@ -139,32 +139,6 @@ def pi2_congruence(P):
     return congruences.congruence_from_map(P.sg, P.pi2.map)
 
 
-def kernel_via_congruence(P):
-    """Members of the kernel of ker(pi2), through the congruence machinery."""
-    return congruences.kernel(pi2_congruence(P))
-
-
-def kernel_lsd(P):
-    """Fiberwise kernel of the unrestricted product: over e it is e.K x {e}."""
-    act = P.action.act
-    A, U = P.elements.T
-    out = {}
-    for e in P.T.idempotents:
-        members = P.pairdex[np.unique(act[e]), e]
-        fixed = np.flatnonzero((U == e) & (act[e, A] == A))
-        if not np.array_equal(members, fixed):
-            raise ProductInvalid("kernel fiber differs from the pairs e fixes",
-                                 (e, int(np.setxor1d(members, fixed)[0])))
-        out[e] = tuple(members.tolist())
-    return out
-
-
-def kernel_rsd(P):
-    """Fiberwise kernel of the restricted product: over e it is K_e x {e}."""
-    return {e: tuple(P.pairdex[np.flatnonzero(P.eps.map == e), e].tolist())
-            for e in P.T.idempotents}
-
-
 def psi_lemma21(P):
     """(a,t) -> ((a, ran t), t): the unrestricted product, rebuilt as restricted."""
     ka = actions.induced_kernel_action(P)

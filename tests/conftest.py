@@ -1,8 +1,10 @@
 import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from invsem import fixtures
+from invsem import congruences, fixtures, products
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +36,35 @@ def _peak_traced(fn):
 def peak_traced():
     """peak_traced(fn): the traced peak, in bytes, of calling fn()."""
     return _peak_traced
+
+
+def _kernel_via_congruence(P):
+    """Members of the kernel of ker(pi2), through the congruence machinery."""
+    return congruences.kernel(products.pi2_congruence(P))
+
+
+def _kernel_lsd(P):
+    """Fiberwise kernel of the unrestricted product: over e it is e.K x {e}."""
+    act = P.action.act
+    A, U = P.elements.T
+    out = {}
+    for e in P.T.idempotents:
+        members = P.pairdex[np.unique(act[e]), e]
+        fixed = np.flatnonzero((U == e) & (act[e, A] == A))
+        assert np.array_equal(members, fixed), (e, np.setxor1d(members, fixed))
+        out[e] = tuple(members.tolist())
+    return out
+
+
+def _kernel_rsd(P):
+    """Fiberwise kernel of the restricted product: over e it is K_e x {e}."""
+    return {e: tuple(P.pairdex[np.flatnonzero(P.eps.map == e), e].tolist())
+            for e in P.T.idempotents}
+
+
+@pytest.fixture(scope="session")
+def kernels():
+    """The kernel of ker(pi2) of a pair product three ways: `lsd` and `rsd`
+    by the fiber formulas, e -> members over e, and `via_congruence`."""
+    return SimpleNamespace(lsd=_kernel_lsd, rsd=_kernel_rsd,
+                           via_congruence=_kernel_via_congruence)

@@ -33,13 +33,13 @@ def test_criterion_01_construction_soundness():
     assert time.time() - t0 < 30
 
 
-def test_criterion_02_kernel_formulas_exact():
+def test_criterion_02_kernel_formulas_exact(kernels):
     for label, P in fixtures.lsd_fixtures():
-        union = {i for mem in products.kernel_lsd(P).values() for i in mem}
-        assert union == set(products.kernel_via_congruence(P).members), label
+        union = {i for mem in kernels.lsd(P).values() for i in mem}
+        assert union == set(kernels.via_congruence(P).members), label
     for label, P in fixtures.rsd_fixtures():
-        union = {i for mem in products.kernel_rsd(P).values() for i in mem}
-        assert union == set(products.kernel_via_congruence(P).members), label
+        union = {i for mem in kernels.rsd(P).values() for i in mem}
+        assert union == set(kernels.via_congruence(P).members), label
 
 
 def test_criterion_03_unrestricted_product_restricts():

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from functools import cache
+from functools import cache, cached_property
 from itertools import groupby, product
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invsem import actions as ac
-from invsem import core, fixtures, morphisms
+from invsem import congruences, core, fixtures, morphisms, products
 from invsem.cli import _eps_decomposition
 from invsem.core import TooLarge
 from invsem.fixtures import action_sweep, afr_sweep
@@ -49,6 +49,27 @@ def test_endo_bound(catalog):
     big = core.direct_product(catalog["square4"], catalog["chain2"])
     with pytest.raises(TooLarge):
         ac.enumerate_endomorphisms(big)
+
+
+def test_endomorphisms_found_once_per_K(catalog, monkeypatch):
+    K = core.validate(catalog["b2"].table)      # a fresh copy: nothing cached on it
+    searched = []
+    search = ac.enumerate_endomorphisms
+    monkeypatch.setattr(ac, "enumerate_endomorphisms", lambda S: searched.append(S) or search(S))
+    for T in catalog.values():
+        ac.enumerate_actions(T, K)
+    assert searched == [K]
+    endos, comp = K.endomorphisms
+    assert endos.tolist() == search(K).tolist()
+    assert not endos.flags.writeable and not comp.flags.writeable
+    assert np.array_equal(endos[comp], endos[:, endos])     # comp[i, j]: i after j
+    # a cached_property, so that dropping an instance's cached tables drops End(K)
+    assert isinstance(vars(core.InverseSemigroup)["endomorphisms"], cached_property)
+    # over the bound every call raises, the first and the later ones
+    big = core.direct_product(catalog["square4"], catalog["chain2"])
+    for _ in range(2):
+        with pytest.raises(TooLarge):
+            ac.enumerate_actions(catalog["z2"], big)
 
 
 def test_validate_action_rejections(catalog):
@@ -626,3 +647,87 @@ def test_induced_kernel_action(rsd_fixtures):
         # the pairs are exactly the product elements in kernel positions
         assert np.array_equal(P.elements[ka.product_indices], ka.pairs), name
         assert np.array_equal(ka.eps.map, ka.pairs[:, 1]), name
+
+
+def homomorphism_by_scan(values, S, S2):
+    """is_homomorphism's law over all |S|^2 cells, kept as the oracle for the
+    proof on the rows of S's generators."""
+    values = np.asarray(values, dtype=np.int64)
+    bad = values[S.table] != S2.table[values[:, None], values[None, :]]
+    if bad.any():
+        raise morphisms.NotMultiplicative(*(int(i) for i in np.argwhere(bad)[0]))
+
+
+@cache
+def _generator_path_cases():
+    """Semigroups over order 50, so that validate keeps their generators,
+    with homomorphisms from them, eps maps on them and actions on them:
+    hwr(z3,chain4) (order 120), the order-81 power of lwr(z3,chain4), and
+    hwr(z3,b2) (order 111), where a one-cell change can break the law first
+    in a row that is not a generator's."""
+    cat = fixtures.catalog()
+    K, T, B = cat["z3"], cat["chain4"], cat["b2"]
+    hw, lw, hb = products.build_hwr(K, T), products.build_lwr(K, T), products.build_hwr(K, B)
+    P, W = lw.power, hw.pkt.sg
+    homs = [(hw.sg, T, hw.pi2.map), (hw.sg, hw.sg, np.arange(hw.sg.order)),
+            (P, K, lw.digits[:, 0]), (P, P, np.arange(P.order)), (hb.sg, B, hb.pi2.map)]
+    eps = [(W, T, hw.pkt.eps.map), (P, T, np.full(P.order, T.idempotents[0])),
+           (hb.pkt.sg, B, hb.pkt.eps.map)]
+    acts = [(T, W, hw.pkt.action.act), (T, P, lw.action.act), (B, hb.pkt.sg, hb.pkt.action.act)]
+    return homs, eps, acts
+
+
+def _law_outcome(check, *args):
+    try:
+        check(*args)
+    except (morphisms.NotMultiplicative, ac.NotEndomorphism, ac.NotActionHom) as exc:
+        return type(exc), str(exc), exc.witness
+    except congruences.NotSurjective:
+        pass
+    return None
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_laws_on_generators_match_the_full_scan(data):
+    """One cell of a homomorphism, an eps map or an action row changed: the
+    proof on the generator rows raises what the n^2 scan raises, with the
+    same witness, or nothing when the scan finds nothing."""
+    homs, eps, acts = _generator_path_cases()
+    kind = data.draw(st.sampled_from(["hom", "eps", "action"]))
+    if kind == "action":
+        T, K, act = data.draw(st.sampled_from(acts))
+        assert K.generators is not None
+        bad = act.copy()
+        t = data.draw(st.integers(0, T.order - 1))
+        a = data.draw(st.integers(0, K.order - 1))
+        bad[t, a] = data.draw(st.integers(0, K.order - 1))
+        assert _law_outcome(ac.validate_action, T, K, bad) == \
+            _law_outcome(validate_by_loop, T, K, bad)
+        return
+    S, S2, values = data.draw(st.sampled_from(homs if kind == "hom" else eps))
+    assert S.generators is not None
+    bad = values.copy()
+    a = data.draw(st.integers(0, S.order - 1))
+    targets = list(S2.idempotents) if kind == "eps" else range(S2.order)
+    bad[a] = data.draw(st.sampled_from(targets))
+    if kind == "hom":
+        got = _law_outcome(morphisms.is_homomorphism, bad, S, S2)
+    else:
+        got = _law_outcome(ac.validate_eps, S, S2, bad)
+    assert got == _law_outcome(homomorphism_by_scan, bad, S, S2)
+
+
+def test_least_witness_can_lie_off_the_generators():
+    """Every one-cell change of hwr(z3,b2)'s second projection: the witness
+    is the scan's, also where its row is not a generator's."""
+    homs, _, _ = _generator_path_cases()
+    S, B, pi2 = homs[-1]
+    rows = Counter()
+    for a, v in product(range(S.order), range(B.order)):
+        bad = pi2.copy()
+        bad[a] = v
+        got = _law_outcome(morphisms.is_homomorphism, bad, S, B)
+        assert got == _law_outcome(homomorphism_by_scan, bad, S, B)
+        rows[None if got is None else got[2][0] in S.generators] += 1
+    assert rows == {True: 432, False: 12, None: 111}

@@ -160,19 +160,78 @@ def test_whole_cube_witness_survives_python_O(catalog, tmp_path):
 @pytest.mark.parametrize("k, t, n, in_index_order, from_top", [
     ("chain2", "i2", 290, 282, 7),
     ("chain4", "chain4", 340, 340, 16),
+    ("b2", "chain4", 780, 210, 34),
 ])
 def test_light_generators_come_from_the_top_of_the_J_order(catalog, k, t, n,
                                                            in_index_order, from_top):
-    T = products.build_hwr(catalog[k], catalog[t]).sg.table
+    S = products.build_hwr(catalog[k], catalog[t]).sg
+    T = S.table
     assert len(T) == n
     gens = core._light_generators(T)
     assert len(gens) == from_top
+    # validate keeps the set Light's test ran on; the cube path keeps none
+    assert S.generators == tuple(gens)
+    assert {S.generators for S in catalog.values()} == {None}
     assert core.product_closure(T, gens).all()
     # without an order, the greedy set is still taken in index order
     plain = core.product_generators(T)
     assert plain == core.product_generators(T, range(n)) == sorted(plain)
     assert len(plain) == in_index_order
     assert core.product_closure(T, plain).all()
+
+
+def product_closure_two_sided(table, seeds, inside=None):
+    """The closure under products on both sides that `core.product_closure`
+    replaced, kept as its oracle: each new element is multiplied by every
+    member, on the left and on the right."""
+    if inside is None:
+        inside = np.zeros(len(table), dtype=bool)
+    fresh = np.zeros_like(inside)
+    frontier = np.array(sorted({int(x) for x in seeds if not inside[x]}), dtype=np.int64)
+    while len(frontier):
+        inside[frontier] = True
+        members = np.flatnonzero(inside)
+        fresh[table[frontier[:, None], members]] = True
+        fresh[table[members[:, None], frontier]] = True
+        fresh[members] = False
+        frontier = np.flatnonzero(fresh)
+    return inside
+
+
+def product_generators_two_sided(table, order=None):
+    inside = np.zeros(len(table), dtype=bool)
+    gens = []
+    for a in range(len(table)) if order is None else order:
+        if not inside[a]:
+            gens.append(int(a))
+            product_closure_two_sided(table, [a], inside)
+    return gens
+
+
+def test_right_closure_matches_the_two_sided_one(catalog, lsd_fixtures, rsd_fixtures):
+    """On every associative table of the fixtures and of the wreath ladder's
+    products, closing under right multiplication by the seeds gives the
+    two-sided closure: the same greedy generators, in index order and from
+    the top of the J-order, and the same closure of a few seed sets."""
+    tables = [S.table for S in catalog.values()]
+    tables += [P.sg.table for _, P in lsd_fixtures + rsd_fixtures]
+    for k, t in (("z3", "chain4"), ("chain2", "i2"), ("chain4", "chain4")):
+        lw = products.build_lwr(catalog[k], catalog[t])
+        tables += [lw.sg.table, lw.power.table]
+    for k, t in (("z3", "chain4"), ("chain2", "i2"), ("chain4", "chain4"), ("b2", "chain4")):
+        hw = products.build_hwr(catalog[k], catalog[t])
+        tables += [hw.sg.table, hw.pkt.sg.table]
+    rng = np.random.default_rng(0)
+    for T in tables:
+        assert core.product_generators(T) == product_generators_two_sided(T)
+        seen = np.zeros(T.shape, dtype=bool)
+        seen[np.arange(len(T))[:, None], T] = True
+        light = product_generators_two_sided(T, np.argsort(-seen.sum(axis=1), kind="stable"))
+        assert core._light_generators(T) == light
+        for size in (1, 2, 3):
+            seeds = rng.choice(len(T), size=min(size, len(T)), replace=False)
+            assert np.array_equal(core.product_closure(T, seeds),
+                                  product_closure_two_sided(T, seeds))
 
 
 def test_validate_memory_stays_small(catalog, peak_traced):

@@ -42,20 +42,20 @@ def test_rsd_requires_fixed_range(catalog):
         pr.build_rsd(z3, z2, bad, eps)
 
 
-def test_kernel_formulas_agree(lsd_fixtures, rsd_fixtures):
+def test_kernel_formulas_agree(lsd_fixtures, rsd_fixtures, kernels):
     for name, P in lsd_fixtures:
-        fibers = pr.kernel_lsd(P)
+        fibers = kernels.lsd(P)
         union = sorted(i for mem in fibers.values() for i in mem)
-        assert union == sorted(pr.kernel_via_congruence(P).members), name
+        assert union == sorted(kernels.via_congruence(P).members), name
     for name, P in rsd_fixtures:
-        fibers = pr.kernel_rsd(P)
+        fibers = kernels.rsd(P)
         union = sorted(i for mem in fibers.values() for i in mem)
-        assert union == sorted(pr.kernel_via_congruence(P).members), name
+        assert union == sorted(kernels.via_congruence(P).members), name
 
 
-def test_kernel_fibers_are_disjoint(rsd_fixtures):
+def test_kernel_fibers_are_disjoint(rsd_fixtures, kernels):
     for name, P in rsd_fixtures:
-        fibers = pr.kernel_rsd(P)
+        fibers = kernels.rsd(P)
         seen = [i for mem in fibers.values() for i in mem]
         assert len(seen) == len(set(seen)), name
 
@@ -139,7 +139,7 @@ def test_pkt_satisfies_fixed_range(catalog):
         assert ac.check_AFR(pkt.action, pkt.eps)[0]
 
 
-def test_hwr_orders(catalog):
+def test_hwr_orders(catalog, kernels):
     cases = [("z2", "chain2", 6), ("z2", "z2", 8), ("chain2", "chain3", 14)]
     for kn, tn, expect in cases:
         K, T = catalog[kn], catalog[tn]
@@ -148,7 +148,7 @@ def test_hwr_orders(catalog):
         assert hw.sg.order == expect
         # group base: the single fiber is the whole power
         if len(T.idempotents) == 1:
-            fibers = pr.kernel_rsd(hw.rsd)
+            fibers = kernels.rsd(hw.rsd)
             (mem,) = fibers.values()
             assert len(mem) == K.order ** T.order
 
