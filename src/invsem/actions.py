@@ -308,9 +308,8 @@ def enumerate_actions(T, K):
     generators come first in the search, and they force every other value.
     """
     endos, comp = K.endomorphisms
-    gens = core.product_generators(T.table)
-    order = gens + [t for t in range(T.order) if t not in gens]
-    found = morphisms.search_homomorphisms(T.table, comp, [range(len(endos))] * T.order, order)
+    found = morphisms.search_homomorphisms(T.table, comp, [range(len(endos))] * T.order,
+                                           T.search_order)
     return _actions(T, K, endos[np.array(list(found), dtype=np.int64).reshape(-1, T.order)])
 
 

@@ -21,7 +21,6 @@ from . import actions, congruences, core, morphisms, products, trhull
 from .core import TooLarge
 
 SEARCH_CAP = 200_000
-FORWARD_HULL_BOUND = 20
 PROP_EXTRAS_CAP = 10
 _SBAR = weakref.WeakKeyDictionary()     # hull -> {chosen: _sbar(hull, chosen)}, dies with the hull
 
@@ -64,13 +63,11 @@ def sbar_members(tr):
     return _sbar(tr.he, frozenset(int(i) for i in tr.xi))
 
 
-def check_B2(tr, sbar=None):
+def check_B2(tr):
     """dom(xi(t)) dominates dom(w) for every generated pair over t."""
     he = tr.he
-    if sbar is None:
-        sbar = sbar_members(tr)
     other = np.zeros(len(he.down), dtype=bool)     # generated, but not chosen
-    other[list(sbar)] = True
+    other[list(sbar_members(tr))] = True
     other[tr.xi] = False
     doms = he.sg.doms
     return _verdict(other & ~he.sg.leq[doms, doms[tr.xi[he.down]]],
@@ -206,12 +203,11 @@ def _subsemigroups_containing_inner(he):
     return out
 
 
-def prop39_check(S, theta, he=None):
+def prop39_check(S, theta):
     """Transversal existence matches the existence of an intermediate
     subsemigroup of the hull on which the fiber congruence has dominant
     (resp. multiplicative dominant) class representatives."""
-    if he is None:
-        he = trhull.hull_of_extension(S, theta)
+    he = trhull.hull_of_extension(S, theta)
     out = {}
     for split in (False, True):
         lhs = find_transversal(S, theta, want_split=split, he=he) is not None
@@ -233,8 +229,7 @@ def theorem310_forward(P, he=None):
     """The shift pairs of a restricted pair product form a split choice."""
     theta = congruences.congruence_from_map(P.sg, P.pi2.map)
     if he is None:
-        he = trhull.hull_of_extension(
-            P.sg, theta, hull=trhull.enumerate_hull(P.sg, FORWARD_HULL_BOUND))
+        he = trhull.hull_of_extension(P.sg, theta)
     # the class of each t in the image of pi2, which must meet one class only
     pi2 = P.pi2.map
     q_of_t = np.full(P.T.order, -1, dtype=np.int64)

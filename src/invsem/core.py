@@ -25,6 +25,11 @@ copy of the table that `FiniteSemigroup.narrow` keeps.
 every law of the form f(ab) = f(a)f(b), f into an associative target, is
 then proved on its rows (`InverseSemigroup.law_witness`): homomorphisms,
 eps maps and the endomorphism law of an action.
+
+What a costly search derives from S alone is found once and cached on it:
+End(S) (`endomorphisms`), the translational hull (`hull`, refused past
+`trhull.HULL_BOUND` cells) and the order in which homomorphisms from S are
+searched (`search_order`).
 """
 
 from dataclasses import dataclass, field
@@ -151,6 +156,21 @@ class InverseSemigroup:
         comp = np.searchsorted(endos @ weights, endos[:, endos] @ weights)
         endos.flags.writeable = comp.flags.writeable = False
         return endos, comp
+
+    @cached_property
+    def hull(self):
+        """The translational hull Omega(S), found once per S; raises TooLarge
+        past `trhull.HULL_BOUND` cells."""
+        from . import trhull        # trhull builds on this module
+        return trhull.enumerate_hull(self)
+
+    @cached_property
+    def search_order(self):
+        """The elements with a greedy generating set (`product_generators`
+        in index order) first: a homomorphism from S is searched in this
+        order, so that the generators force every other value."""
+        gens = product_generators(self.table)
+        return tuple(gens + [a for a in range(self.order) if a not in gens])
 
     def law_witness(self, bad_rows):
         """Least (a, b) at which a law f(ab) = f(a)f(b) fails, f a map from S

@@ -290,7 +290,7 @@ def solves(triple, solution):
         return False, "kernel-order-mismatch"
     eta_t = triple.eta_in_t
     kernel_class = qmap[kelems]
-    for beta in all_isomorphisms(T, Q):
+    for beta in _iso_search(T, Q):
         required = beta[eta_t]          # K-element -> forced class in Q
         allowed = [[bool(kernel_class[p] == required[a]) for p in range(K.order)]
                    for a in range(K.order)]

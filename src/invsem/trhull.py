@@ -11,6 +11,11 @@ A pair is two index arrays over S, (left, right), and several pairs are
 two stacked arrays whose row i is pair i.  A hull keeps its pairs so, in
 lexicographic order of the left part, which determines the pair; its
 checks are gathers over those rows.
+
+The one size rule counts cells, since the order of S does not predict the
+cost (a zero with k atoms has order k + 1 and a hull of order 2^k): each
+array whose size depends on the input is checked against HULL_BOUND before
+it is built.  Each semigroup's hull is found once, as `InverseSemigroup.hull`.
 """
 
 from dataclasses import dataclass
@@ -20,8 +25,7 @@ import numpy as np
 from . import congruences, core, morphisms
 from .core import InverseSemigroup, TooLarge
 
-HULL_BOUND = 8
-NAIVE_BOUND = 5
+HULL_BOUND = 1 << 20    # cells of any one array built on the way to a hull
 
 
 class DoesNotRespect(Exception):
@@ -37,6 +41,11 @@ class HullInvalid(Exception):
         self.reason = reason
         self.witness = witness
         super().__init__(f"{reason} at {witness}")
+
+
+def _check_cells(cells):
+    if cells > HULL_BOUND:
+        raise TooLarge("hull enumeration cells", cells, HULL_BOUND)
 
 
 def _least_cell(bad):
@@ -126,10 +135,12 @@ def _one_sided_translations(table, inv):
     lam = np.zeros((1, n), dtype=np.int64)     # rows: values at the idempotents so far
     for i, e in enumerate(idems.tolist()):
         cand = np.flatnonzero(table[:, e] == ar)   # Se: the x with xe = x
+        _check_cells(len(lam) * len(cand) * n)
         lam = np.repeat(lam, len(cand), axis=0)
         lam[:, e] = np.resize(cand, len(lam))
         done = idems[:i]
         lam = lam[(table[lam[:, e, None], done] == table[lam[:, done], e]).all(axis=1)]
+    _check_cells(len(lam) * n * n)
     lam = table[lam[:, table[ar, inv]], ar]
     return lam[(lam[:, table] == table[lam]).all(axis=(1, 2))]
 
@@ -151,6 +162,7 @@ def _hull_from_pairs(S, left, right):
     left, right = left[order], right[order]
     m, n = left.shape
     _require((left[1:] == left[:-1]).all(axis=1), "left part fails to determine the pair")
+    _check_cells(m * m * n)
     # one lookup: each product w_i w_j, the inner pairs, the identity pair,
     # and each inverse pair
     ar = np.arange(n)
@@ -174,11 +186,9 @@ def _hull_from_pairs(S, left, right):
     return TranslationalHull(S, left, right, sg, inner_of, ident)
 
 
-def enumerate_hull(S, bound=None):
-    """All bitranslations of S; refused past bound (HULL_BOUND when None)."""
-    bound = HULL_BOUND if bound is None else bound
-    if S.order > bound:
-        raise TooLarge("hull enumeration", S.order, bound)
+def enumerate_hull(S):
+    """All bitranslations of S; refused when an array on the way would pass
+    HULL_BOUND cells.  Read it as S.hull, which finds it once per S."""
     lefts = _one_sided_translations(S.table, S.inv)
     rights = _one_sided_translations(np.ascontiguousarray(S.table.T), S.inv)
     # lam and rho are linked iff the matrices s . lam(t) and (s)rho . t agree
@@ -190,8 +200,7 @@ def enumerate_hull(S, bound=None):
 def naive_hull(S):
     """Scan all n^n maps for both laws, then link-match; the slow oracle."""
     n = S.order
-    if n > NAIVE_BOUND:
-        raise TooLarge("naive hull enumeration", n, NAIVE_BOUND)
+    _check_cells(n ** n * n * n)
     maps = np.indices((n,) * n).reshape(n, -1).T
     lefts = maps[is_left_translation(S, maps)]
     rights = maps[is_right_translation(S, maps)]
@@ -266,10 +275,9 @@ class HullOfExtension:
     pi_member: np.ndarray        # s -> member position of the inner pair
 
 
-def hull_of_extension(S, theta, hull=None):
-    """Restrict the hull to pairs whose induced quotient pair is inner."""
-    if hull is None:
-        hull = enumerate_hull(S)
+def hull_of_extension(S, theta):
+    """Restrict the hull of S to pairs whose induced quotient pair is inner."""
+    hull = S.hull
     Q, qmap = congruences.quotient(theta)
     # every translation of an inverse semigroup respects every congruence
     q = locate(*inner(Q, np.arange(Q.order)),

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from invsem import congruences, fixtures, products
+from invsem import congruences, core, fixtures, products
 
 
 @pytest.fixture(scope="session")
@@ -32,10 +32,24 @@ def _peak_traced(fn):
         tracemalloc.stop()
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def peak_traced():
     """peak_traced(fn): the traced peak, in bytes, of calling fn()."""
     return _peak_traced
+
+
+def _zero_with_atoms(k):
+    ar = np.arange(k + 1)
+    table = np.zeros((k + 1, k + 1), dtype=np.int64)
+    table[ar, ar] = ar
+    return core.validate(table)
+
+
+@pytest.fixture(scope="session")
+def zero_with_atoms():
+    """zero_with_atoms(k): the semilattice of a zero 0 and k atoms 1..k.  Its
+    order is k + 1, its hull's 2^k, and k! of its automorphisms fix 0."""
+    return _zero_with_atoms
 
 
 def _kernel_via_congruence(P):

@@ -35,9 +35,8 @@ def test_transversal_existence_at_order_5(catalog):
     missing = []
     for name in sweep_names(5):
         S = catalog[name]
-        hull = th.enumerate_hull(S)
         for theta in cg.enumerate_congruences(S):
-            he = th.hull_of_extension(S, theta, hull=hull)
+            he = th.hull_of_extension(S, theta)
             tr = bh.find_transversal(S, theta, he=he)
             if tr is None:
                 missing.append((name, tuple(int(x) for x in theta.class_of)))

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from invsem import cli, core
+from invsem import cli, core, fixtures
 
 
 def write(tmp_path, name, obj):
@@ -347,7 +347,7 @@ def test_product_of_order_780_stays_under_24_MiB(tmp_path, capsys, catalog, peak
     assert json.loads(out.read_text())["order"] == 780
 
 
-def test_trhull_cmd(tmp_path, capsys, catalog):
+def test_trhull_cmd(tmp_path, capsys, catalog, zero_with_atoms):
     b2 = inst(tmp_path, "b2.json", catalog["b2"])
     code, report = cli.run(["trhull", b2])
     assert code == 0
@@ -362,9 +362,33 @@ def test_trhull_cmd(tmp_path, capsys, catalog):
     names = {c.name for c in report.checks}
     assert "all-pairs-respect" in names and "quotient-map:down_surjective" in names
 
-    code, report = cli.run(["trhull", b2, "--bound", "3"])
+    # order 13, but a hull of order 2^12
+    atoms = inst(tmp_path, "atoms12.json", zero_with_atoms(12))
+    code, report = cli.run(["trhull", atoms])
     assert code == 3
     assert report.checks[0].name == "within-bounds" and not report.checks[0].passed
+    assert report.checks[0].witness["what"] == "hull enumeration cells"
+
+
+_hull_factors = st.one_of(st.tuples(st.just("atoms"), st.integers(0, 40)),
+                          st.tuples(st.just("chain"), st.integers(1, 40)))
+
+
+@given(st.lists(_hull_factors, min_size=1, max_size=2))
+@settings(max_examples=25, deadline=None)
+def test_trhull_stays_within_bounds(tmp_path_factory, zero_with_atoms, peak_traced, factors):
+    """On semilattices of a zero and atoms, chains, and their direct products,
+    the hull is built or refused, and memory stays bounded either way."""
+    parts = [zero_with_atoms(k) if kind == "atoms" else core.validate(fixtures._min_table(k))
+             for kind, k in factors]
+    # the input table and its JSON are n² cells before any hull array: keep
+    # them small, so that the peak measures the hull
+    assume(np.prod([S.order for S in parts]) <= 256)
+    S = parts[0] if len(parts) == 1 else core.direct_product(*parts)
+    path = inst(tmp_path_factory.mktemp("hull"), "s.json", S)
+    codes = []
+    assert peak_traced(lambda: codes.append(cli.run(["trhull", path])[0])) < 80 * 2**20
+    assert codes[0] in (0, 3)
 
 
 def test_check_afr(tmp_path, capsys, catalog):

@@ -550,9 +550,8 @@ def test_verdicts_survive_python_O(catalog):
     assert out == f"{e.value}\n"
 
 
-def test_the_only_bound_parameter_is_the_hull_bound():
-    """Size bounds are module constants read where they are checked; only
-    `trhull.enumerate_hull` takes one, for `invsem trhull --bound`."""
+def test_no_public_function_takes_a_bound_parameter():
+    """Size bounds are module constants read where they are checked."""
     found = []
     for info in pkgutil.iter_modules(invsem.__path__):
         if info.name.startswith("_"):
@@ -563,7 +562,7 @@ def test_the_only_bound_parameter_is_the_hull_bound():
                 continue
             found += [f"{info.name}.{name}({p})" for p in inspect.signature(fn).parameters
                       if p in ("bound", "cap") or p.endswith(("_bound", "_cap"))]
-    assert found == ["trhull.enumerate_hull(bound)"]
+    assert found == []
 
 
 def test_no_assert_decides_a_verdict():

@@ -120,6 +120,24 @@ def test_solves_rejections(catalog, monkeypatch):
         mo.solves(triple, mo.ExtensionSolution(i2, rees))
 
 
+def test_solves_draws_isomorphisms_lazily(zero_with_atoms, monkeypatch):
+    """The first compatible pair ends the search: 2 maps, not the 8! + 1
+    that listing every isomorphism T -> S/theta first would draw."""
+    T = zero_with_atoms(8)
+    triple = mo.make_triple(T, T, np.arange(T.order))
+    drawn = []
+    iso_search = mo._iso_search
+
+    def spy(*args, **kwargs):
+        for m in iso_search(*args, **kwargs):
+            drawn.append(m)
+            yield m
+
+    monkeypatch.setattr(mo, "_iso_search", spy)
+    ok, _ = mo.solves(triple, mo.ExtensionSolution(T, cg.diagonal(T)))
+    assert ok and len(drawn) == 2
+
+
 def test_make_triple_errors(catalog):
     chain2, i2 = catalog["chain2"], catalog["i2"]
     with pytest.raises(ValueError):

@@ -58,10 +58,11 @@ def test_hull_orders(catalog):
 
 def test_backtracking_matches_naive(catalog):
     for name, S in catalog.items():
-        if S.order > th.NAIVE_BOUND:
+        try:
+            slow = th.naive_hull(S)
+        except TooLarge:
             continue
         fast = th.enumerate_hull(S)
-        slow = th.naive_hull(S)
         assert np.array_equal(fast.left, slow.left), name
         assert np.array_equal(fast.right, slow.right), name
         assert np.array_equal(fast.sg.table, slow.sg.table), name
@@ -76,12 +77,35 @@ def test_rows_sorted_by_distinct_left_parts(catalog):
         assert h.left.dtype == h.right.dtype == np.int64, name
 
 
-def test_hull_bounds(catalog):
+def test_hull_bounds(catalog, zero_with_atoms, peak_traced):
+    """The bound counts array cells, not elements."""
     big = core.direct_product(catalog["square4"], catalog["square4"])
+    assert th.enumerate_hull(big).sg.order == 16
+    assert th.enumerate_hull(zero_with_atoms(8)).sg.order == 256
+
+    def refuse():
+        # order 20, hull of order 2^19: refused before the translation stack grows past the bound
+        with pytest.raises(TooLarge, match="hull enumeration cells") as e:
+            th.enumerate_hull(zero_with_atoms(19))
+        assert e.value.size > e.value.bound == th.HULL_BOUND
+
+    assert peak_traced(refuse) < 24 * 2**20
+    with pytest.raises(TooLarge, match="hull enumeration cells"):
+        th.enumerate_hull(zero_with_atoms(9))
+    # the naive oracle's n^n maps: 5^5 * 25 cells pass, 6^6 * 36 do not
+    th.naive_hull(catalog["b2"])
     with pytest.raises(TooLarge):
-        th.enumerate_hull(big)
-    with pytest.raises(TooLarge):
-        th.naive_hull(catalog["i2"])
+        th.naive_hull(core.direct_product(catalog["z3"], catalog["chain2"]))
+
+
+def test_hull_is_found_once_per_semigroup(catalog, monkeypatch):
+    S = core.direct_product(catalog["fork"], catalog["chain2"])
+    calls = []
+    enumerate_hull = th.enumerate_hull
+    monkeypatch.setattr(th, "enumerate_hull", lambda S: calls.append(S) or enumerate_hull(S))
+    for theta in cg.enumerate_congruences(S):
+        assert th.hull_of_extension(S, theta).hull is S.hull
+    assert calls == [S]
 
 
 def test_brandt_hull_is_the_symmetric_monoid(catalog):
@@ -135,8 +159,6 @@ def test_fork_gains_exactly_the_identity(catalog):
 def test_every_pair_respects_every_congruence(catalog):
     for name in HULL_ORDERS:
         S = catalog[name]
-        if S.order > th.NAIVE_BOUND:
-            continue
         h = th.enumerate_hull(S)
         for theta in cg.enumerate_congruences(S):
             assert th.respects(h.left, h.right, theta).all(), name
@@ -225,7 +247,6 @@ def test_shift_pairs(rsd_fixtures):
 def test_forward_transversal_needs_classes_within_fibers(rsd_fixtures):
     # over the diagonal congruence, a fiber of pi2 with two elements meets two classes
     label, P = next((lb, P) for lb, P in rsd_fixtures if P.sg.order > P.T.order)
-    he = th.hull_of_extension(P.sg, cg.diagonal(P.sg),
-                              hull=th.enumerate_hull(P.sg, bh.FORWARD_HULL_BOUND))
+    he = th.hull_of_extension(P.sg, cg.diagonal(P.sg))
     with pytest.raises(bh.TransversalInvalid, match="fiber of pi2 meets two classes"):
         bh.theorem310_forward(P, he=he)
