@@ -52,8 +52,20 @@ class EndoAction:
 
     @cached_property
     def fixed(self):
-        """fixed[i, a]: the i-th idempotent of T fixes a."""
-        return self.act[list(self.T.idempotents)] == np.arange(self.K.order)
+        """fixed[a, i]: the i-th idempotent of T fixes a, read-only and in the
+        [a, i] orientation of `EpsilonMap.below`.  `_actions` fills it for a
+        whole stack of tables at once; built directly, an action finds it on
+        first use, from the same `_fixed_masks`."""
+        return _fixed_masks(self.T, self.act[None])[0]
+
+
+def _fixed_masks(T, stack):
+    """fixed[s, a, i]: the i-th idempotent of T fixes a in table s of the
+    stack (m, |T|, |K|); C-contiguous and read-only."""
+    E = list(T.idempotents)
+    fixed = np.ascontiguousarray((stack[:, E] == np.arange(stack.shape[2])).transpose(0, 2, 1))
+    fixed.flags.writeable = False
+    return fixed
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +123,12 @@ def _check_laws(T, K, stack):
 
 
 def _actions(T, K, stack):
+    """The actions of a stack of tables, each given its row of the stack's fixed masks."""
     _check_laws(T, K, stack)
-    return [EndoAction(T, K, act) for act in stack]
+    out = [EndoAction(T, K, act) for act in stack]
+    for action, fixed in zip(out, _fixed_masks(T, stack)):
+        object.__setattr__(action, "fixed", fixed)     # fills the cached property of a frozen class
+    return out
 
 
 def validate_action(T, K, act):
@@ -149,9 +165,11 @@ def validate_eps(K, T, values):
 def check_AFR(action, eps):
     """e.a = a iff eps(a) <= e, over all idempotents e and elements a.
 
-    Returns (True, None) or (False, (a, e)) with the least witness.
+    One contiguous compare of the [a, i] masks `EndoAction.fixed` and
+    `EpsilonMap.below`.  Returns (True, None) or (False, (a, e)) with the
+    least witness in a-major order.
     """
-    bad = action.fixed.T != eps.below
+    bad = action.fixed != eps.below
     k = int(bad.argmax())
     if not bad.flat[k]:
         return True, None
@@ -267,8 +285,7 @@ def induced_kernel_action(P):
     """
     T = P.T
     theta = congruences.congruence_from_map(P.sg, P.pi2.map)
-    members = congruences.kernel(theta)
-    Ksub, kelems = core.subsemigroup(P.sg, members.members)
+    Ksub, kelems, _ = theta.kernel_sub
     pairs = P.elements[kelems]
     A, E = pairs.T
     pairdex = np.full(P.pairdex.shape, -1, dtype=np.int64)

@@ -275,15 +275,6 @@ def _inner_element_of(he):
     return out
 
 
-def _kernel(S, theta):
-    """Ker theta as a subsemigroup, its elements, and each element's index
-    in it: -1 outside it, and at one spare last slot, so that -1 maps to -1."""
-    Ksub, kelems = core.subsemigroup(S, sorted(congruences.kernel(theta).members))
-    kpos = np.full(S.order + 1, -1, dtype=np.int64)
-    kpos[kelems] = np.arange(len(kelems))
-    return Ksub, kelems, kpos
-
-
 def _translations(he, positions, side):
     """The left or right translations of the members at positions, one row each."""
     return getattr(he.hull, side)[he.members[positions]]
@@ -305,7 +296,7 @@ def theorem310_backward(S, theta, tr):
         raise NotSplit("a multiplicative transversal is required")
     validate_transversal(tr)
     Q, qmap = he.Q, he.qmap
-    Ksub, kelems, kpos = _kernel(S, theta)
+    Ksub, kelems, kpos = theta.kernel_sub
     elt_of = _inner_element_of(he)
     L = _translations(he, tr.xi, "left")
     Rinv = _translations(he, he.sg.inv[tr.xi], "right")
@@ -362,7 +353,7 @@ def _conjugate_digits(S, theta, tr):
     _require_extension(he, S, theta)
     validate_transversal(tr)
     Q, qmap = he.Q, he.qmap
-    Ksub, kelems, kpos = _kernel(S, theta)
+    Ksub, kelems, kpos = theta.kernel_sub
     s = np.arange(S.order)[:, None]
     A = Q.table[np.arange(Q.order), Q.rans[qmap][:, None]]
     B = Q.table[np.arange(Q.order), qmap[:, None]]

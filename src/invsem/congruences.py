@@ -9,6 +9,7 @@ engine for larger ones.  Tests compare the engines where both apply.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,18 @@ class Congruence:
     def reps(self):
         # class ids are canonical, so the least member is the first occurrence
         return np.unique(self.class_of, return_index=True)[1]
+
+    @cached_property
+    def kernel_sub(self):
+        """(Ker theta as a subsemigroup, its elements in the parent, kpos),
+        kpos[s] the index of s in it: -1 outside it, and at one spare last
+        slot, so that -1 maps to -1.  Built once per congruence; read-only."""
+        S = self.parent
+        Ksub, kelems = core.subsemigroup(S, kernel(self).members)
+        kpos = np.full(S.order + 1, -1, dtype=np.int64)
+        kpos[kelems] = np.arange(len(kelems))
+        kelems.flags.writeable = kpos.flags.writeable = False
+        return Ksub, kelems, kpos
 
     def __eq__(self, other):
         return (isinstance(other, Congruence)

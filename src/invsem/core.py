@@ -28,8 +28,9 @@ eps maps and the endomorphism law of an action.
 
 What a costly search derives from S alone is found once and cached on it:
 End(S) (`endomorphisms`), the translational hull (`hull`, refused past
-`trhull.HULL_BOUND` cells) and the order in which homomorphisms from S are
-searched (`search_order`).
+`trhull.HULL_BOUND` cells), the order in which homomorphisms from S are
+searched (`search_order`) and the per-element invariants that the
+isomorphism search matches (`profiles`).
 """
 
 from dataclasses import dataclass, field
@@ -171,6 +172,30 @@ class InverseSemigroup:
         order, so that the generators force every other value."""
         gens = product_generators(self.table)
         return tuple(gens + [a for a in range(self.order) if a not in gens])
+
+    @cached_property
+    def profiles(self):
+        """Per element, the isomorphism invariants that the isomorphism
+        search matches: its order and inverse data, then how often each such
+        profile appears in its row and its column."""
+        n = self.order
+        idem = np.zeros(n, dtype=np.int64)
+        idem[list(self.idempotents)] = 1
+        below = self.leq.sum(axis=1)
+        above = self.leq.sum(axis=0)
+        selfinv = (self.inv == np.arange(n)).astype(np.int64)
+        dom_fib = np.bincount(self.doms, minlength=n)
+        ran_fib = np.bincount(self.rans, minlength=n)
+        base = list(zip(idem, below, above, selfinv, dom_fib[self.doms], ran_fib[self.rans]))
+        # one refinement round: fingerprint each row/column of the table by profiles
+        ids = {p: i for i, p in enumerate(sorted(set(base)))}
+        lab = np.array([ids[p] for p in base])
+        out = []
+        for a in range(n):
+            row = np.bincount(lab[self.table[a]], minlength=len(ids))
+            col = np.bincount(lab[self.table[:, a]], minlength=len(ids))
+            out.append(base[a] + (tuple(row), tuple(col)))
+        return out
 
     def law_witness(self, bad_rows):
         """Least (a, b) at which a law f(ab) = f(a)f(b) fails, f a map from S

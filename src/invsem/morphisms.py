@@ -76,27 +76,6 @@ def is_homomorphism(values, S, S2):
     return Morphism(S, S2, m, distinct == S.order, distinct == S2.order)
 
 
-def _profiles(S):
-    n = S.order
-    idem = np.zeros(n, dtype=np.int64)
-    idem[list(S.idempotents)] = 1
-    below = S.leq.sum(axis=1)
-    above = S.leq.sum(axis=0)
-    selfinv = (S.inv == np.arange(n)).astype(np.int64)
-    dom_fib = np.bincount(S.doms, minlength=n)
-    ran_fib = np.bincount(S.rans, minlength=n)
-    base = list(zip(idem, below, above, selfinv, dom_fib[S.doms], ran_fib[S.rans]))
-    # one refinement round: fingerprint each row/column of the table by profiles
-    ids = {p: i for i, p in enumerate(sorted(set(base)))}
-    lab = np.array([ids[p] for p in base])
-    out = []
-    for a in range(n):
-        row = np.bincount(lab[S.table[a]], minlength=len(ids))
-        col = np.bincount(lab[S.table[:, a]], minlength=len(ids))
-        out.append(base[a] + (tuple(row), tuple(col)))
-    return out
-
-
 def _powers_match(src, dst, a, b, allowed, injective):
     """False when no homomorphism can send a to b.  One would send a's left
     powers a, a*a, (a*a)*a, ... (the first repeat is a^(i+p) = a^i) to b's,
@@ -195,7 +174,7 @@ def _iso_search(S, S2, allowed=None):
     n = S.order
     if S2.order != n:
         return
-    p1, p2 = _profiles(S), _profiles(S2)
+    p1, p2 = S.profiles, S2.profiles
     if sorted(p1) != sorted(p2):
         return
     cand = [[b for b in range(n) if p1[a] == p2[b]
@@ -257,20 +236,21 @@ class ExtensionSolution:
     theta: congruences.Congruence
 
     @cached_property
-    def kernel_sub(self):
-        members = congruences.kernel(self.theta)
-        return core.subsemigroup(self.S, members.members)
-
-    @cached_property
     def quotient(self):
         return congruences.quotient(self.theta)
 
     @cached_property
     def induced_triple(self):
         """The extension problem this pair answers tautologically."""
-        Ksub, kelems = self.kernel_sub
+        Ksub, kelems, _ = self.theta.kernel_sub
         Q, qmap = self.quotient
         return make_triple(Ksub, Q, qmap[kelems])
+
+
+def _fibres(S, over):
+    """Sorted (profile of e, how many entries of over are e) over E(S)."""
+    size = np.bincount(over, minlength=S.order)
+    return sorted((S.profiles[e], int(size[e])) for e in S.idempotents)
 
 
 def solves(triple, solution):
@@ -285,11 +265,16 @@ def solves(triple, solution):
     Q, qmap = solution.quotient
     if Q.order != T.order:
         return False, "quotient-order-mismatch"
-    Ksub, kelems = solution.kernel_sub
+    Ksub, kelems, _ = solution.theta.kernel_sub
     if Ksub.order != K.order:
         return False, "kernel-order-mismatch"
     eta_t = triple.eta_in_t
     kernel_class = qmap[kelems]
+    # chi carries eta^-1(e) onto the kernel's fibre over beta(e), and beta
+    # keeps profiles: without these, no beta has a chi
+    if (sorted(K.profiles) != sorted(Ksub.profiles)
+            or _fibres(T, eta_t) != _fibres(Q, kernel_class)):
+        return False, "no-compatible-isomorphism-pair"
     for beta in _iso_search(T, Q):
         required = beta[eta_t]          # K-element -> forced class in Q
         allowed = [[bool(kernel_class[p] == required[a]) for p in range(K.order)]

@@ -252,18 +252,58 @@ def check_AFR_by_loop(action, eps):
 
 
 def test_check_AFR_matches_loop():
+    """On enumerated actions, whose masks are filled per stack, and on the
+    same tables built directly, whose masks are found on first use."""
     n = failed = 0
     for K, T, tables in _pairs_of_sweep():
         epss = ac.enumerate_surjective_eps(K, T)
-        for table in tables:
-            action = ac.EndoAction(T, K, table)
+        acts = ac.enumerate_actions(T, K)
+        assert [a.act.tobytes() for a in acts] == [t.tobytes() for t in tables]
+        for action in acts:
+            direct = ac.EndoAction(T, K, action.act)
             for eps in epss:
                 got = ac.check_AFR(action, eps)
-                assert got == check_AFR_by_loop(action, eps)
+                assert got == ac.check_AFR(direct, eps) == check_AFR_by_loop(direct, eps)
                 assert all(type(x) is int for x in got[1] or ())
                 n += 1
                 failed += not got[0]
-    assert n == 4532 and 0 < failed < n
+    assert n == 4532 and failed == 4454
+
+
+def _fixed_by_loop(action):
+    """fixed[a, i]: the i-th idempotent e of T has e.a = a, cell by cell."""
+    T, K, A = action.T, action.K, action.act
+    return np.array([[A[e, a] == a for e in T.idempotents] for a in range(K.order)])
+
+
+def _check_fixed(action):
+    fixed = action.fixed
+    assert fixed.dtype == bool and fixed.flags.c_contiguous and not fixed.flags.writeable
+    assert np.array_equal(fixed, _fixed_by_loop(action))
+    assert np.array_equal(fixed, ac.EndoAction(action.T, action.K, action.act).fixed)
+    with pytest.raises(ValueError, match="read-only"):
+        fixed[0, 0] = not fixed[0, 0]
+
+
+def test_fixed_masks_are_filled_per_stack():
+    """Every enumerated action, and a validated one, has its [a, i] mask
+    filled with the stack's masks, equal to the one-action definition."""
+    cat = fixtures.catalog()
+    n = 0
+    for K, T, _ in _pairs_of_sweep():
+        acts = ac.enumerate_actions(T, K)
+        assert all("fixed" in vars(a) for a in acts)     # filled, not found on first use
+        assert all(a.fixed.base is acts[0].fixed.base is not None for a in acts)
+        for a in acts:
+            _check_fixed(a)
+        n += len(acts)
+    assert n == 4165
+    action = ac.validate_action(cat["z2"], cat["chain3"], [[0, 1, 2], [0, 1, 2]])
+    assert "fixed" in vars(action)
+    _check_fixed(action)
+    direct = ac.EndoAction(cat["chain2"], cat["z3"], np.array([[0, 1, 2], [0, 2, 1]]))
+    assert "fixed" not in vars(direct)
+    _check_fixed(direct)
 
 
 def test_eps_enumerated_once_per_pair(monkeypatch):

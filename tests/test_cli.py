@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from invsem import cli, core, fixtures
+from invsem import actions, cli, core, fixtures
 
 
 def write(tmp_path, name, obj):
@@ -407,6 +407,42 @@ def test_check_afr(tmp_path, capsys, catalog):
     by_name = {c.name: c for c in report.checks}
     assert not by_name["fixed-range-axiom"].passed
     assert by_name["classwise-equivalent"].passed  # both forms reject it
+
+
+_bad_cells = (st.integers(-2, 5) | st.booleans() | st.floats() | st.text(max_size=2)
+              | st.none() | st.sampled_from([2**70, -2**70]))
+
+
+@st.composite
+def _map_json(draw, key, rows):
+    """A file for `key` ({"act": ...} or {"map": ...}): mostly one of the
+    `rows` (the enumerated actions or eps maps) with up to two cells
+    replaced by bad ones, else a nest of bad cells of any shape; mostly
+    under `key`, else under another key or in no object."""
+    cells = np.array(draw(st.sampled_from(rows)), dtype=object)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        cells[draw(st.tuples(*(st.integers(0, d - 1) for d in cells.shape)))] = draw(_bad_cells)
+    value = cells.tolist() if draw(st.integers(0, 4)) else draw(st.recursive(
+        _bad_cells, lambda inner: st.lists(inner, max_size=5), max_leaves=20))
+    return draw(st.sampled_from([{key: value}] * 4 + [{key: value, "other": 0},
+                                                      {"other": value}, value, [{key: value}]]))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_check_afr_exit_codes_on_any_map_file(tmp_path_factory, data):
+    """check-afr exits 0, 1 or 2, and raises nothing, whatever its map files
+    hold, on every ordered pair of catalog instances of order <= 4."""
+    cat = fixtures.catalog()
+    kn, tn = data.draw(st.tuples(*[st.sampled_from(fixtures.sweep_names(4))] * 2))
+    K, T = cat[kn], cat[tn]
+    acts = [a.act for a in actions.enumerate_actions(T, K)]
+    epss = [e.map for e in actions.enumerate_surjective_eps(K, T)] or [np.zeros(K.order, int)]
+    tmp = tmp_path_factory.mktemp("afr")
+    argv = ["check-afr", write(tmp, "act.json", data.draw(_map_json("act", acts))),
+            write(tmp, "eps.json", data.draw(_map_json("map", epss))),
+            "--k", inst(tmp, "k.json", K), "--t", inst(tmp, "t.json", T)]
+    assert cli.run(argv)[0] in (0, 1, 2)
 
 
 def test_check_solution(tmp_path, capsys):

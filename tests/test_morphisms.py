@@ -99,7 +99,7 @@ def test_induced_triple_and_solves(catalog):
     beta, chi = wit["beta"], wit["chi"]
     # re-check the witness by hand
     Q, qmap = sol.quotient
-    Ksub, kelems = sol.kernel_sub
+    Ksub, kelems, _ = sol.theta.kernel_sub
     assert (beta[triple.eta_in_t] == qmap[kelems][chi]).all()
     assert mo.is_homomorphism(beta, triple.T, Q).bijective
     assert mo.is_homomorphism(chi, triple.K, Ksub).bijective
@@ -136,6 +136,80 @@ def test_solves_draws_isomorphisms_lazily(zero_with_atoms, monkeypatch):
     monkeypatch.setattr(mo, "_iso_search", spy)
     ok, _ = mo.solves(triple, mo.ExtensionSolution(T, cg.diagonal(T)))
     assert ok and len(drawn) == 2
+
+
+def _with_z2_over(k, e):
+    """The zero 0 with k atoms 1..k, and a Z2 {e, g} over the idempotent e, g = k + 1."""
+    t = np.zeros((k + 2, k + 2), dtype=np.int64)
+    t[np.arange(k + 1), np.arange(k + 1)] = np.arange(k + 1)
+    g = k + 1
+    for x in range(k + 1):
+        t[g, x] = t[x, g] = g if t[e, x] == e else t[e, x]
+    t[g, g] = e
+    return validate(t)
+
+
+def _count_iso_searches(monkeypatch):
+    calls = []
+    iso_search = mo._iso_search
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return iso_search(*args, **kwargs)
+
+    monkeypatch.setattr(mo, "_iso_search", spy)
+    return calls
+
+
+def test_solves_refuses_before_drawing_isomorphisms(zero_with_atoms, catalog, monkeypatch):
+    """Without a compatible pair, the kernels' profiles or the fibre sizes by
+    profile differ, and solves says so without drawing every beta: a loop over
+    beta made 5,041 isomorphism searches on the zero with 7 atoms below."""
+    calls = _count_iso_searches(monkeypatch)
+    # K has its Z2 over an atom, Ker theta = S over the zero
+    k = 7
+    T = zero_with_atoms(k)
+    triple = mo.make_triple(_with_z2_over(k, 1), T, list(range(k + 1)) + [1])
+    S = _with_z2_over(k, 0)
+    sol = mo.ExtensionSolution(S, cg.is_congruence(S, list(range(k + 1)) + [0]))
+    assert mo.solves(triple, sol) == (False, "no-compatible-isomorphism-pair")
+    assert len(calls) <= 1
+    # Ker theta is K = chain3, but eta puts two elements over the top of
+    # chain2 and theta two over the bottom
+    chain2, chain3 = catalog["chain2"], catalog["chain3"]
+    del calls[:]
+    triple = mo.make_triple(chain3, chain2, [0, 1, 1])
+    sol = mo.ExtensionSolution(chain3, cg.is_congruence(chain3, [0, 0, 1]))
+    assert mo.solves(triple, sol) == (False, "no-compatible-isomorphism-pair")
+    assert calls == []
+
+
+def test_solves_matches_a_loop_over_every_isomorphism_pair(catalog):
+    """Every triple induced by a congruence of a small catalog semigroup,
+    against every solution of matching orders: solves agrees with trying
+    every pair (beta, chi), and its yes comes with a compatible pair."""
+    sols = [mo.ExtensionSolution(S, theta) for name, S in catalog.items() if S.order <= 5
+            for theta in cg.enumerate_congruences(S)]
+    checked = refused = 0
+    for triple in (s.induced_triple for s in sols):
+        for sol in sols:
+            Q, qmap = sol.quotient
+            Ksub, kelems, _ = sol.theta.kernel_sub
+            if (Q.order, Ksub.order) != (triple.T.order, triple.K.order):
+                continue
+            kernel_class = qmap[kelems]
+            expect = any((kernel_class[chi] == beta[triple.eta_in_t]).all()
+                         for beta in mo.all_isomorphisms(triple.T, Q)
+                         for chi in mo.all_isomorphisms(triple.K, Ksub))
+            ok, wit = mo.solves(triple, sol)
+            assert ok == expect
+            if ok:
+                assert (kernel_class[wit["chi"]] == wit["beta"][triple.eta_in_t]).all()
+            else:
+                assert wit == "no-compatible-isomorphism-pair"
+                refused += 1
+            checked += 1
+    assert checked > refused > 0
 
 
 def test_make_triple_errors(catalog):
