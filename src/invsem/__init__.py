@@ -1,7 +1,6 @@
 """invsem: a verifiable workbench for finite inverse semigroups."""
 
 from .core import (
-    ElementSet,
     FiniteSemigroup,
     IdempotentsDontCommute,
     InverseSemigroup,
@@ -9,18 +8,13 @@ from .core import (
     NotRegular,
     TooLarge,
     direct_product,
-    dom,
     generated_subsemigroup,
-    natural_leq,
-    principal_left_ideal,
-    ran,
     validate,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ElementSet",
     "FiniteSemigroup",
     "IdempotentsDontCommute",
     "InverseSemigroup",
@@ -28,10 +22,6 @@ __all__ = [
     "NotRegular",
     "TooLarge",
     "direct_product",
-    "dom",
     "generated_subsemigroup",
-    "natural_leq",
-    "principal_left_ideal",
-    "ran",
     "validate",
 ]

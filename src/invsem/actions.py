@@ -35,13 +35,8 @@ class AFRViolated(Exception):
         super().__init__(f"fixed-range condition fails at {witness}")
 
 
-class LawViolated(Exception):
+class LawViolated(core.Violation):
     """A structure map or an induced action broke its law; the witness says where."""
-
-    def __init__(self, reason, witness):
-        self.reason = reason
-        self.witness = witness
-        super().__init__(f"{reason} at {witness}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,13 +175,12 @@ def check_AFR(action, eps):
 def check_AE7_AE8(action, eps):
     """eps fixes its own class, and eps of t.a is ran(t eps(a))."""
     T, A, ar = action.T, action.act, np.arange(action.K.order)
-    moved = A[eps.map, ar] != ar
-    if moved.any():
-        return False, ("fix-own-class", int(moved.argmax()))
-    bad = eps.map[A] != T.rans[T.table[:, eps.map]]
-    if bad.any():
-        t, a = np.argwhere(bad)[0]
-        return False, ("range-transport", int(t), int(a))
+    cell = core.least_cell(A[eps.map, ar] != ar)
+    if cell is not None:
+        return False, ("fix-own-class", *cell)
+    cell = core.least_cell(eps.map[A] != T.rans[T.table[:, eps.map]])
+    if cell is not None:
+        return False, ("range-transport", *cell)
     return True, None
 
 
@@ -198,15 +192,14 @@ def check_modified(action, decomp):
     if embed is None:
         raise ValueError("decomposition must embed its semilattice into T")
     e_of = embed[eta.map]               # K element -> its class idempotent in T
-    moved = A[e_of, ar] != ar
-    if moved.any():
-        return False, ("class-fix", int(moved.argmax()))
+    cell = core.least_cell(A[e_of, ar] != ar)
+    if cell is not None:
+        return False, ("class-fix", *cell)
     class_of = np.full(T.order, -1, dtype=np.int64)    # idempotent of T -> its class
     class_of[embed] = np.arange(len(embed))
-    bad = eta.map[A] != class_of[T.rans[T.table[:, e_of]]]
-    if bad.any():
-        t, a = np.argwhere(bad)[0]
-        return False, ("class-transport", int(t), int(a))
+    cell = core.least_cell(eta.map[A] != class_of[T.rans[T.table[:, e_of]]])
+    if cell is not None:
+        return False, ("class-transport", *cell)
     return True, None
 
 
@@ -292,22 +285,11 @@ def induced_kernel_action(P):
     pairdex[A, E] = np.arange(len(pairs))
     # t sends the kernel pair (a, e) to (t.a, ran(te))
     act = pairdex[P.action.act[:, A], T.rans[T.table[:, E]]]
-    if (act < 0).any():
-        t, j = (int(i) for i in np.argwhere(act < 0)[0])
-        raise LawViolated("kernel is not closed under the induced action",
-                          (t, tuple(pairs[j].tolist())))
+    core.require(act < 0, LawViolated, "kernel is not closed under the induced action",
+                 lambda t, j: (t, tuple(pairs[j].tolist())))
     action = validate_action(T, Ksub, act)
     eps = validate_eps(Ksub, T, E)
     return KernelAction(P, Ksub, kelems, pairs, pairdex, action, eps)
-
-
-def _mixed_radix(idx, width, base):
-    digits = np.empty((len(idx), width), dtype=np.int64)
-    rest = idx.copy()
-    for j in range(width - 1, -1, -1):
-        digits[:, j] = rest % base
-        rest //= base
-    return digits
 
 
 def enumerate_endomorphisms(K):
@@ -337,11 +319,12 @@ def enumerate_actions_naive(T, K):
     if total > NAIVE_ACTION_BOUND:
         raise TooLarge("naive action enumeration", total, NAIVE_ACTION_BOUND)
     Kt = K.table
+    w = n ** np.arange(m * n - 1, -1, -1)
     out = []
     step = max(1, (1 << 21) // max(1, m * n * n))
     for start in range(0, total, step):
         idx = np.arange(start, min(start + step, total))
-        M = _mixed_radix(idx, m * n, n).reshape(len(idx), m, n)
+        M = (idx[:, None] // w % n).reshape(len(idx), m, n)
         endo = (M[:, :, Kt] == Kt[M[:, :, :, None], M[:, :, None, :]]).all(axis=(1, 2, 3))
         M = M[endo]
         if not len(M):

@@ -29,11 +29,8 @@ class NotSplit(Exception):
     pass
 
 
-class TransversalInvalid(Exception):
-    def __init__(self, reason, witness=None):
-        self.reason = reason
-        self.witness = witness
-        super().__init__(f"{reason} at {witness}")
+class TransversalInvalid(core.Violation):
+    """A transversal broke an axiom; the witness says where."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +49,7 @@ def _sbar(he, img):
     memo = _SBAR.setdefault(he, {})
     if img not in memo:
         seeds = set(int(i) for i in he.pi_member) | set(img)
-        memo[img] = frozenset(core.generated_subsemigroup(he.sg, seeds).members)
+        memo[img] = core.generated_subsemigroup(he.sg, seeds)
     return memo[img]
 
 
@@ -115,9 +112,9 @@ def split_closure_check(tr):
     inner = set(int(i) for i in he.pi_member)
     chosen = set(int(i) for i in tr.xi)
     out = {"no_new_elements": sbar == inner | chosen}
-    idem_down = {w for w in sbar if he.Q.is_idempotent(int(he.down[w]))}
-    inner_kernel = {int(he.pi_member[s]) for s in range(he.S.order)
-                    if he.Q.is_idempotent(int(he.qmap[s]))}
+    idem = he.Q.table.diagonal() == np.arange(he.Q.order)
+    idem_down = {w for w in sbar if idem[he.down[w]]}
+    inner_kernel = set(he.pi_member[idem[he.qmap]].tolist())
     chosen_idem = {int(tr.xi[e]) for e in he.Q.idempotents}
     out["kernel_part_shape"] = idem_down == inner_kernel | chosen_idem
     return out
@@ -196,7 +193,7 @@ def _subsemigroups_containing_inner(he):
     for mask in range(1 << len(extras)):
         seeds = set(inner) | {extras[i] for i in range(len(extras))
                               if mask >> i & 1}
-        closed = frozenset(core.generated_subsemigroup(he.sg, seeds).members)
+        closed = core.generated_subsemigroup(he.sg, seeds)
         if closed not in seen:
             seen.add(closed)
             out.append(closed)
@@ -249,16 +246,13 @@ def theorem310_forward(P, he=None):
 
 def _verdict(bad, label=lambda *cell: cell):
     """(True, None), or False with the least cell of the mask bad, labelled."""
-    if not bad.any():
-        return True, None
-    return False, label(*(int(i) for i in np.argwhere(bad)[0]))
+    cell = core.least_cell(bad)
+    return (True, None) if cell is None else (False, label(*cell))
 
 
 def _require(bad, reason, label=lambda *cell: cell):
     """Raise TransversalInvalid at the least cell of the mask bad, labelled."""
-    ok, witness = _verdict(bad, label)
-    if not ok:
-        raise TransversalInvalid(reason, witness)
+    core.require(bad, TransversalInvalid, reason, label)
 
 
 def _require_injective(m, what):

@@ -132,17 +132,18 @@ def _write_json(x, stream):
     stream.write("\n")
 
 
-def _digest(path):
+def _read(report, path):
+    """The JSON document in the file at path, read once: the sha256 of its
+    bytes goes into report.digests, then only its text is kept to parse."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _load_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:    # bad JSON, or bytes that are not UTF-8
-            raise UsageError(f"{path} is not valid JSON: {exc}") from None
+        data = fh.read()
+    report.digests[path] = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode()
+        del data
+        return json.loads(text)
+    except ValueError as exc:    # bad JSON, or bytes that are not UTF-8
+        raise UsageError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _field(data, key, path):
@@ -161,8 +162,8 @@ def _instance(data, where):
         raise UsageError(f"{where} is not an inverse semigroup: {exc}") from None
 
 
-def _load_instance(path):
-    return _instance(_load_json(path), path)
+def _load_instance(report, path):
+    return _instance(_read(report, path), path)
 
 
 def _congruence(data, where, S):
@@ -207,9 +208,8 @@ def _emit(report, args, stream=None):
 
 def cmd_validate(args):
     report = Report(command=["validate", args.instance])
-    report.digests[args.instance] = _digest(args.instance)
     try:
-        S = core.from_dict(_load_json(args.instance))
+        S = core.from_dict(_read(report, args.instance))
     except core.NotAssociative as exc:
         report.checks.append(Check("associative", False, exc.witness))
         return report
@@ -236,17 +236,15 @@ def cmd_validate(args):
 
 def cmd_congruences(args):
     report = Report(command=["congruences", args.instance])
-    report.digests[args.instance] = _digest(args.instance)
-    S = _load_instance(args.instance)
+    S = _load_instance(report, args.instance)
     found = congruences.enumerate_congruences(S, method=args.method)
     listing = []
     for th in found:
-        kern = congruences.kernel(th)
         tr = congruences.trace(th)
         listing.append({
             "class_of": th.class_of.tolist(),
             "classes": th.class_count,
-            "kernel": sorted(kern.members),
+            "kernel": sorted(congruences.kernel(th)),
             "trace_class_of": tr.class_of.tolist(),
         })
     report.extra["count"] = len(found)
@@ -257,31 +255,26 @@ def cmd_congruences(args):
 
 def cmd_product(args):
     report = Report(command=["product", args.kind])
-    K = _load_instance(args.k)
-    T = _load_instance(args.t)
-    report.digests[args.k] = _digest(args.k)
-    report.digests[args.t] = _digest(args.t)
+    K = _load_instance(report, args.k)
+    T = _load_instance(report, args.t)
     if args.kind in ("lsd", "rsd"):
         if not args.action:
             raise UsageError(f"product {args.kind} requires --action")
-        action = _map(_load_json(args.action), "act", args.action,
+        action = _map(_read(report, args.action), "act", args.action,
                       partial(actions.validate_action, T, K))
-        report.digests[args.action] = _digest(args.action)
     if args.kind == "lsd":
         P = products.build_lsd(K, T, action)
     elif args.kind == "rsd":
         if not args.eps:
             raise UsageError("product rsd requires --eps")
-        report.digests[args.eps] = _digest(args.eps)
-        P = _map(_load_json(args.eps), "map", args.eps,   # also rejects a pair failing AFR
+        P = _map(_read(report, args.eps), "map", args.eps,   # also rejects a pair failing AFR
                  lambda m: products.build_rsd(K, T, action, actions.validate_eps(K, T, m)))
     elif args.kind == "hwr":
         P = products.build_hwr(K, T)
     elif args.kind == "hwr-eta":
         if not args.eta:
             raise UsageError("product hwr-eta requires --eta")
-        report.digests[args.eta] = _digest(args.eta)
-        triple = _map(_load_json(args.eta), "map", args.eta,
+        triple = _map(_read(report, args.eta), "map", args.eta,
                       partial(morphisms.make_triple, K, T))
         P = products.build_hwr_eta(triple)
     else:
@@ -307,8 +300,7 @@ def cmd_product(args):
 
 def cmd_trhull(args):
     report = Report(command=["trhull", args.instance])
-    report.digests[args.instance] = _digest(args.instance)
-    S = _load_instance(args.instance)
+    S = _load_instance(report, args.instance)
     hull = S.hull
     ids = trhull.hull_identities(hull)
     for k, v in sorted(ids.items()):
@@ -321,8 +313,7 @@ def cmd_trhull(args):
     report.extra["non_inner"] = [{"left": lam, "right": rho} for lam, rho in
                                  zip(hull.left[outer].tolist(), hull.right[outer].tolist())]
     if args.congruence:
-        report.digests[args.congruence] = _digest(args.congruence)
-        theta = _congruence(_load_json(args.congruence), args.congruence, S)
+        theta = _congruence(_read(report, args.congruence), args.congruence, S)
         respecting = int(trhull.respects(hull.left, hull.right, theta).sum())
         report.extra["respecting_order"] = respecting
         report.checks.append(Check("all-pairs-respect", respecting == hull.sg.order))
@@ -337,13 +328,11 @@ def cmd_trhull(args):
 
 def cmd_check_afr(args):
     report = Report(command=["check-afr", args.action, args.eps])
-    K = _load_instance(args.k)
-    T = _load_instance(args.t)
-    for p in (args.action, args.eps, args.k, args.t):
-        report.digests[p] = _digest(p)
-    action = _map(_load_json(args.action), "act", args.action,
+    K = _load_instance(report, args.k)
+    T = _load_instance(report, args.t)
+    action = _map(_read(report, args.action), "act", args.action,
                   partial(actions.validate_action, T, K))
-    eps = _map(_load_json(args.eps), "map", args.eps, partial(actions.validate_eps, K, T))
+    eps = _map(_read(report, args.eps), "map", args.eps, partial(actions.validate_eps, K, T))
     ok, w = actions.check_AFR(action, eps)
     report.checks.append(Check("fixed-range-axiom", ok, w))
     ok2, w2 = actions.check_AE7_AE8(action, eps)
@@ -358,13 +347,11 @@ def cmd_check_afr(args):
 
 def cmd_check_solution(args):
     report = Report(command=["check-solution", args.triple, args.solution])
-    report.digests[args.triple] = _digest(args.triple)
-    report.digests[args.solution] = _digest(args.solution)
-    tdata = _load_json(args.triple)
+    tdata = _read(report, args.triple)
     K = _instance(_field(tdata, "k", args.triple), f"{args.triple} 'k'")
     T = _instance(_field(tdata, "t", args.triple), f"{args.triple} 't'")
     triple = _map(tdata, "eta", args.triple, partial(morphisms.make_triple, K, T))
-    sdata = _load_json(args.solution)
+    sdata = _read(report, args.solution)
     S = _instance(_field(sdata, "s", args.solution), f"{args.solution} 's'")
     theta = _congruence(_field(sdata, "theta", args.solution), args.solution, S)
     sol = morphisms.ExtensionSolution(S, theta)
@@ -381,10 +368,8 @@ def _transversal_descriptor(tr):
 
 def cmd_billhardt(args):
     report = Report(command=["billhardt", args.mode, args.instance, args.congruence])
-    report.digests[args.instance] = _digest(args.instance)
-    report.digests[args.congruence] = _digest(args.congruence)
-    S = _load_instance(args.instance)
-    theta = _congruence(_load_json(args.congruence), args.congruence, S)
+    S = _load_instance(report, args.instance)
+    theta = _congruence(_read(report, args.congruence), args.congruence, S)
     he = trhull.hull_of_extension(S, theta)
     tr = billhardt.find_transversal(S, theta, want_split=args.split, he=he)
     if tr is None:
@@ -671,8 +656,7 @@ def _sweep_extra(directory, report):
     for path in sorted(pathlib.Path(directory).glob("*.json")):
         path = str(path)
         try:
-            report.digests[path] = _digest(path)
-            S = _load_instance(path)
+            S = _load_instance(report, path)
         except (UsageError, OSError) as exc:
             report.checks.append(Check(f"sweep:valid:{path}", False, str(exc)))
             continue
@@ -778,10 +762,7 @@ def run(argv=None):
         report.elapsed = time.time() - t0
         _emit(report, args)
         return 3, report
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 2, None
-    except FileNotFoundError as exc:
+    except (UsageError, OSError) as exc:     # OSError: a path that cannot be read or written
         sys.stderr.write(f"usage error: {exc}\n")
         return 2, None
     report.elapsed = time.time() - t0

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import core
-from .core import ElementSet, InverseSemigroup, TooLarge
+from .core import InverseSemigroup, TooLarge
 
 PARTITION_BOUND = 8
 GENERATED_BOUND = 24
@@ -58,9 +58,6 @@ class Congruence:
     class_of: np.ndarray
     class_count: int
 
-    def related(self, a, b):
-        return bool(self.class_of[a] == self.class_of[b])
-
     def classes(self):
         return [np.flatnonzero(self.class_of == c) for c in range(self.class_count)]
 
@@ -74,11 +71,19 @@ class Congruence:
         kpos[s] the index of s in it: -1 outside it, and at one spare last
         slot, so that -1 maps to -1.  Built once per congruence; read-only."""
         S = self.parent
-        Ksub, kelems = core.subsemigroup(S, kernel(self).members)
+        Ksub, kelems = core.subsemigroup(S, kernel(self))
         kpos = np.full(S.order + 1, -1, dtype=np.int64)
         kpos[kelems] = np.arange(len(kelems))
         kelems.flags.writeable = kpos.flags.writeable = False
         return Ksub, kelems, kpos
+
+    @cached_property
+    def quotient(self):
+        """(S/theta, natural map), as `quotient` gives it, built once per
+        congruence; the map is read-only."""
+        Q, qmap = quotient(self)
+        qmap.flags.writeable = False
+        return Q, qmap
 
     def __eq__(self, other):
         return (isinstance(other, Congruence)
@@ -303,12 +308,9 @@ def enumerate_congruences(S, method="auto"):
 
 
 def kernel(theta):
-    """Union of the classes that contain an idempotent."""
-    S = theta.parent
+    """Union of the classes that contain an idempotent, a frozenset."""
     c = theta.class_of
-    idem_classes = {int(c[e]) for e in S.idempotents}
-    members = frozenset(i for i in range(S.order) if int(c[i]) in idem_classes)
-    return ElementSet(S, members)
+    return frozenset(np.flatnonzero(np.isin(c, c[list(theta.parent.idempotents)])).tolist())
 
 
 def trace(theta):
@@ -355,13 +357,13 @@ def decomposition_along(eta, embed=None):
         raise NotSurjective(f"semilattice element {missing} has empty fiber")
     K = eta.source
     # fibers multiply into the fiber of the product; this is the morphism law
-    bad = np.argwhere(emap[K.table] != E.table[emap[:, None], emap[None, :]])
-    if len(bad):
+    cell = core.least_cell(emap[K.table] != E.table[emap[:, None], emap[None, :]])
+    if cell is not None:
         from .morphisms import NotMultiplicative  # morphisms imports this module
-        raise NotMultiplicative(int(bad[0][0]), int(bad[0][1]))
-    bad = np.flatnonzero(emap[K.inv] != emap)
-    if len(bad):
-        raise ValueError(f"element {int(bad[0])} and its inverse lie in different fibers")
+        raise NotMultiplicative(*cell)
+    cell = core.least_cell(emap[K.inv] != emap)
+    if cell is not None:
+        raise ValueError(f"element {cell[0]} and its inverse lie in different fibers")
     classes = tuple(np.flatnonzero(emap == e) for e in range(E.order))
     if embed is not None:
         embed = np.asarray(embed, dtype=np.int64)

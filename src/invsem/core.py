@@ -60,12 +60,38 @@ class IdempotentsDontCommute(Exception):
         super().__init__(f"idempotents {e} and {f} do not commute")
 
 
+class Violation(Exception):
+    """A construction or a structure map broke its defining property; the
+    witness says where."""
+
+    def __init__(self, reason, witness):
+        self.reason = reason
+        self.witness = witness
+        super().__init__(f"{reason} at {witness}")
+
+
 class TooLarge(Exception):
     def __init__(self, what, size, bound):
         self.what = what
         self.size = size
         self.bound = bound
         super().__init__(f"{what}: size {size} exceeds bound {bound}")
+
+
+def least_cell(mask):
+    """The least set cell of a boolean mask in row-major order, as a tuple of
+    ints, or None when no cell is set."""
+    if not mask.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(mask.argmax(), mask.shape))
+
+
+def require(mask, violation, reason, label=lambda *cell: cell):
+    """Raise violation(reason, witness) at the least set cell of mask, the
+    witness being label(*cell)."""
+    cell = least_cell(mask)
+    if cell is not None:
+        raise violation(reason, label(*cell))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,15 +135,6 @@ class InverseSemigroup:
     def narrow(self):
         return self.base.narrow
 
-    def mul(self, a, b):
-        return int(self.table[a, b])
-
-    def dom(self, a):
-        return int(self.table[self.inv[a], a])
-
-    def ran(self, a):
-        return int(self.table[a, self.inv[a]])
-
     @cached_property
     def doms(self):
         n = self.order
@@ -142,7 +159,7 @@ class InverseSemigroup:
             # E passed validate, so its idempotents commute: some listed element is not one
             a = int(elems[np.flatnonzero(E.table.diagonal() != np.arange(E.order))[0]])
             raise ValueError(f"element {a} is listed as an idempotent, "
-                             f"but {a}*{a} = {self.mul(a, a)}")
+                             f"but {a}*{a} = {self.table[a, a]}")
         elems.flags.writeable = False
         return E, elems
 
@@ -209,15 +226,7 @@ class InverseSemigroup:
         """
         if self.generators is not None and not bad_rows(np.array(self.generators)).any():
             return None
-        bad = bad_rows(slice(None))
-        k = int(bad.argmax())
-        return divmod(k, self.order) if bad.flat[k] else None
-
-    def natural_leq(self, a, b):
-        return bool(self.leq[a, b])
-
-    def is_idempotent(self, a):
-        return bool(self.table[a, a] == a)
+        return least_cell(bad_rows(slice(None)))
 
     def name_of(self, a):
         if self.names is not None:
@@ -226,29 +235,6 @@ class InverseSemigroup:
 
     def __repr__(self):
         return f"InverseSemigroup(order={self.order})"
-
-
-@dataclass(frozen=True, eq=False)
-class ElementSet:
-    parent: InverseSemigroup
-    members: frozenset
-
-    def __contains__(self, a):
-        return a in self.members
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self):
-        return len(self.members)
-
-    def __eq__(self, other):
-        if isinstance(other, ElementSet):
-            return self.parent is other.parent and self.members == other.members
-        return self.members == frozenset(other)
-
-    def __hash__(self):
-        return hash((id(self.parent), self.members))
 
 
 def _light_generators(T):
@@ -316,10 +302,9 @@ def validate(table, names=None):
     ar = np.arange(n)
     idem = np.flatnonzero(T[ar, ar] == ar)
     sub = T[idem][:, idem]
-    bad = np.argwhere(sub != sub.T)
-    if len(bad):
-        i, j = bad[0]
-        raise IdempotentsDontCommute(int(idem[i]), int(idem[j]))
+    cell = least_cell(sub != sub.T)
+    if cell is not None:
+        raise IdempotentsDontCommute(*(int(idem[i]) for i in cell))
     # partner[a, x] iff (ax)a = a and (xa)x = x
     partner = (T[T, ar[:, None]] == ar[:, None]) & (T[T.T, ar] == ar)
     unique = partner.sum(axis=1) == 1
@@ -331,23 +316,6 @@ def validate(table, names=None):
         raise ValueError(f"element {a} has inverses {int(cand[0])} and {int(cand[1])}, "
                          f"though idempotents commute")
     return InverseSemigroup(base, partner.argmax(axis=1), tuple(int(e) for e in idem), gens)
-
-
-def dom(S, a):
-    return S.dom(a)
-
-
-def ran(S, a):
-    return S.ran(a)
-
-
-def natural_leq(S, a, b):
-    return S.natural_leq(a, b)
-
-
-def principal_left_ideal(S, t):
-    """St = {xt : x in S}, a principal left ideal (contains t)."""
-    return ElementSet(S, frozenset(int(x) for x in S.table[:, t]))
 
 
 def product_closure(table, seeds, inside=None):
@@ -392,13 +360,13 @@ def product_generators(table, order=None):
 
 
 def generated_subsemigroup(S, gens):
-    """Least subset closed under product and inverse containing gens."""
+    """Least subset closed under product and inverse containing gens, a frozenset."""
     seed = set(int(g) for g in gens)
     if not seed:
         raise ValueError("gens must be nonempty")
     # (ab)^-1 = b^-1 a^-1, so closing inverse-closed generators under products keeps inverses
     closed = product_closure(S.table, sorted(seed | {int(S.inv[g]) for g in seed}))
-    return ElementSet(S, frozenset(np.flatnonzero(closed).tolist()))
+    return frozenset(np.flatnonzero(closed).tolist())
 
 
 def subsemigroup(S, members):

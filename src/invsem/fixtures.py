@@ -6,8 +6,6 @@ the command line verifier quantify over the same data.
 
 from functools import cache
 
-import numpy as np
-
 from . import actions, core, partial_bijections
 from .core import validate
 

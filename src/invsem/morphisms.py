@@ -22,7 +22,6 @@ import numpy as np
 from . import congruences, core
 from .core import InverseSemigroup, TooLarge
 
-ISO_BOUND = 12
 SOLUTION_BOUND = 64
 
 
@@ -183,17 +182,6 @@ def _iso_search(S, S2, allowed=None):
     yield from search_homomorphisms(S.table, S2.table, cand, order, injective=True)
 
 
-def isomorphism_search(S, S2):
-    """First isomorphism found, as a Morphism, or None."""
-    n = max(S.order, S2.order)
-    if n > ISO_BOUND:
-        raise TooLarge("isomorphism search", n, ISO_BOUND)
-    m = next(_iso_search(S, S2), None)
-    if m is None:
-        return None
-    return is_homomorphism(m, S, S2)
-
-
 def all_isomorphisms(S, S2):
     return list(_iso_search(S, S2))
 
@@ -236,14 +224,10 @@ class ExtensionSolution:
     theta: congruences.Congruence
 
     @cached_property
-    def quotient(self):
-        return congruences.quotient(self.theta)
-
-    @cached_property
     def induced_triple(self):
         """The extension problem this pair answers tautologically."""
         Ksub, kelems, _ = self.theta.kernel_sub
-        Q, qmap = self.quotient
+        Q, qmap = self.theta.quotient
         return make_triple(Ksub, Q, qmap[kelems])
 
 
@@ -262,7 +246,7 @@ def solves(triple, solution):
     K, T = triple.K, triple.T
     if max(K.order, T.order, solution.S.order) > SOLUTION_BOUND:
         raise TooLarge("solution check", solution.S.order, SOLUTION_BOUND)
-    Q, qmap = solution.quotient
+    Q, qmap = solution.theta.quotient
     if Q.order != T.order:
         return False, "quotient-order-mismatch"
     Ksub, kelems, _ = solution.theta.kernel_sub
@@ -306,13 +290,9 @@ def solution_embedding(phi, sol, sol2, iso=False):
             seen[v] = a
     if iso and not phi.surjective:
         return False
-    k1 = congruences.kernel(sol.theta).members
-    k2 = congruences.kernel(sol2.theta).members
-    image_k = {int(phi.map[a]) for a in k1}
-    if iso:
-        if image_k != set(k2):
-            return False
-    elif not image_k <= set(k2):
+    k2 = congruences.kernel(sol2.theta)
+    image_k = {int(phi.map[a]) for a in congruences.kernel(sol.theta)}
+    if not (image_k == k2 if iso else image_k <= k2):
         return False
     c1 = congruences._canon(sol.theta.class_of)
     c2 = congruences._canon(sol2.theta.class_of[phi.map])

@@ -111,36 +111,3 @@ def symmetric_inverse_monoid(n):
         # the empty map alone
         return _table_of([PartialBijection(0, ())])
     return _table_of(_all_partial_bijections(n))
-
-
-def generate(degree, gens):
-    """Closure of gens (plus inverses) under composition.
-
-    Discovery order is breadth-first, ties broken by lexicographic graph,
-    and fixes the element indexing of the returned semigroup.
-    """
-    seeds = []
-    for g in gens:
-        if g.degree != degree:
-            raise DegreeMismatch(degree, g.degree)
-        seeds.append(g)
-    seeds = seeds + [inverse(g) for g in seeds]
-    known = {}
-    for b in sorted(set(b.graph for b in seeds)):
-        known[b] = len(known)
-    frontier = list(known)
-    while frontier:
-        fresh = set()
-        prior = list(known)
-        for a in prior:
-            fa = PartialBijection(degree, a)
-            for b in frontier:
-                fb = PartialBijection(degree, b)
-                fresh.add(compose(fa, fb).graph)
-                fresh.add(compose(fb, fa).graph)
-        fresh -= set(known)
-        for g in sorted(fresh):
-            known[g] = len(known)
-        frontier = sorted(fresh)
-    bijections = [PartialBijection(degree, g) for g in sorted(known, key=known.get)]
-    return _table_of(bijections)

@@ -34,20 +34,13 @@ WREATH_CAP = 4096
 NAME_CAP = 200
 
 
-class ProductInvalid(Exception):
+class ProductInvalid(core.Violation):
     """A construction broke its defining property; the witness says where."""
 
-    def __init__(self, reason, witness):
-        self.reason = reason
-        self.witness = witness
-        super().__init__(f"{reason} at {witness}")
 
-
-def _require(bad, reason, label=int):
-    """Raise ProductInvalid at the first cell of the mask bad, labelling
-    each of its indices."""
-    if bad.any():
-        raise ProductInvalid(reason, tuple(label(int(i)) for i in np.argwhere(bad)[0]))
+def _require(bad, reason, label=lambda *cell: cell):
+    """Raise ProductInvalid at the first cell of the mask bad, labelled."""
+    core.require(bad, ProductInvalid, reason, label)
 
 
 def _require_over(K, T, **maps):
@@ -92,8 +85,8 @@ def _build_pair_product(K, T, action, eps, carrier):
     A, U = elements.T
     m = len(elements)
 
-    def label(i):
-        return tuple(elements[i].tolist())
+    def label(*cell):
+        return tuple(tuple(elements[i].tolist()) for i in cell)
 
     # the m x m intermediates hold K and T elements in their narrow dtypes
     rans = T.rans.astype(T.narrow.dtype)
@@ -324,8 +317,8 @@ def build_lwr(K, T):
     nP = nK ** nT
     if nP > WREATH_CAP:
         raise TooLarge("full power order", nP, WREATH_CAP)
-    D = actions._mixed_radix(np.arange(nP), nT, nK)
     w = nK ** np.arange(nT - 1, -1, -1)
+    D = np.arange(nP)[:, None] // w % nK
     table = np.empty((nP, nP), dtype=np.int64)
     step = max(1, core.BLOCK_CELLS // max(1, nP * nT))
     for r0 in range(0, nP, step):

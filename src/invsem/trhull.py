@@ -34,13 +34,8 @@ class DoesNotRespect(Exception):
         super().__init__(f"translation is not constant on the classes at {witness}")
 
 
-class HullInvalid(Exception):
+class HullInvalid(core.Violation):
     """A hull or an induced pair broke its defining property; the witness says where."""
-
-    def __init__(self, reason, witness):
-        self.reason = reason
-        self.witness = witness
-        super().__init__(f"{reason} at {witness}")
 
 
 def _check_cells(cells):
@@ -48,15 +43,13 @@ def _check_cells(cells):
         raise TooLarge("hull enumeration cells", cells, HULL_BOUND)
 
 
-def _least_cell(bad):
-    """The least True cell of a mask: an int for a 1-D mask, else a tuple."""
-    cell = tuple(int(i) for i in np.argwhere(bad)[0])
+def _cell(*cell):
+    """A witness cell: an int for a 1-D mask, else a tuple."""
     return cell[0] if len(cell) == 1 else cell
 
 
 def _require(bad, reason):
-    if bad.any():
-        raise HullInvalid(reason, _least_cell(bad))
+    core.require(bad, HullInvalid, reason, _cell)
 
 
 def is_left_translation(S, lam):
@@ -246,16 +239,14 @@ def respects(left, right, theta):
     return ~_torn(left, right, theta.class_of, theta.reps()).any(axis=-1)
 
 
-def downharp(left, right, theta, quotient_pair=None):
+def downharp(left, right, theta):
     """The induced pair on the quotient, stacked for stacked pairs; raises
     DoesNotRespect at the least element of a torn class."""
     reps = theta.reps()
-    torn = _torn(left, right, theta.class_of, reps)
-    if torn.any():
-        raise DoesNotRespect(_least_cell(torn))
-    if quotient_pair is None:
-        quotient_pair = congruences.quotient(theta)
-    Q, qmap = quotient_pair
+    cell = core.least_cell(_torn(left, right, theta.class_of, reps))
+    if cell is not None:
+        raise DoesNotRespect(_cell(*cell))
+    Q, qmap = theta.quotient
     lam, rho = qmap[left[..., reps]], qmap[right[..., reps]]
     _require(np.atleast_1d(~is_bitranslation(Q, lam, rho)), "induced pair is not linked")
     return lam, rho
@@ -278,10 +269,9 @@ class HullOfExtension:
 def hull_of_extension(S, theta):
     """Restrict the hull of S to pairs whose induced quotient pair is inner."""
     hull = S.hull
-    Q, qmap = congruences.quotient(theta)
+    Q, qmap = theta.quotient
     # every translation of an inverse semigroup respects every congruence
-    q = locate(*inner(Q, np.arange(Q.order)),
-               *downharp(hull.left, hull.right, theta, (Q, qmap)))
+    q = locate(*inner(Q, np.arange(Q.order)), *downharp(hull.left, hull.right, theta))
     members = np.flatnonzero(q >= 0)
     down = q[members]
     sub, _ = core.subsemigroup(hull.sg, members)
@@ -313,7 +303,7 @@ def prop35_check(he):
     sol_small = morphisms.ExtensionSolution(he.S, he.theta)
     phi = morphisms.is_homomorphism(he.pi_member, he.S, he.sg)
     out["pi_embeds_solution"] = morphisms.solution_embedding(phi, sol_small, sol_big)
-    Qh, qh = congruences.quotient(he.omega)
+    Qh, qh = he.omega.quotient
     iota = np.empty(he.Q.order, dtype=np.int64)
     for q in range(he.Q.order):
         s = int(np.flatnonzero(he.qmap == q)[0])

@@ -56,8 +56,18 @@ def test_validate_failures(tmp_path, capsys):
 
 
 def test_missing_file(tmp_path, capsys):
-    code, report = cli.run(["validate", str(tmp_path / "nope.json")])
-    assert code == 2 and report is None
+    """A path that cannot be opened, a missing file or a directory, is a
+    usage error, whether it is read or, with -o, written."""
+    c2 = write(tmp_path, "c2.json", {"order": 2, "table": [[0, 0], [0, 1]]})
+    missing, directory = str(tmp_path / "nope.json"), str(tmp_path)
+    for argv in (["validate", missing], ["validate", directory],
+                 ["trhull", c2, "--congruence", missing],
+                 ["trhull", c2, "--congruence", directory],
+                 ["product", "hwr", "--k", directory, "--t", c2],
+                 ["product", "hwr", "--k", c2, "--t", c2, "-o", directory]):
+        code, report = cli.run(argv)
+        assert code == 2 and report is None, argv
+        assert capsys.readouterr().err.startswith("usage error: "), argv
 
 
 def test_malformed_input_is_usage_error(tmp_path, capsys):

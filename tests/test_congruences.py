@@ -206,7 +206,7 @@ def test_i2_lattice(catalog):
     Q, qmap = cg.quotient(rees)
     # collapsing the ideal of an order-7 monoid leaves the group with a zero
     assert np.array_equal(Q.table, catalog["z2_zero"].table)
-    assert sorted(cg.kernel(rees).members) == [0, 1, 2, 3, 4, 5]
+    assert sorted(cg.kernel(rees)) == [0, 1, 2, 3, 4, 5]
     assert tuple(cg.trace(rees).class_of) == (0, 0, 0, 1)
     Q2, _ = cg.quotient(cs[2])
     assert np.array_equal(Q2.table, catalog["chain2"].table)
@@ -219,13 +219,13 @@ def test_kernel_trace_laws(catalog):
         for c in cg.enumerate_congruences(S):
             ker = cg.kernel(c)
             idem_classes = {int(c.class_of[e]) for e in S.idempotents}
-            assert ker.members == frozenset(
+            assert ker == frozenset(
                 i for i in range(S.order) if int(c.class_of[i]) in idem_classes)
             tr = cg.trace(c)
             assert np.array_equal(tr.parent.table, E.table)
             assert np.array_equal(tr.class_of, cg._canon(c.class_of[elems]))
-        assert cg.kernel(cg.diagonal(S)).members == frozenset(int(e) for e in S.idempotents)
-        assert len(cg.kernel(cg.universal(S)).members) == S.order
+        assert cg.kernel(cg.diagonal(S)) == frozenset(int(e) for e in S.idempotents)
+        assert len(cg.kernel(cg.universal(S))) == S.order
 
 
 def test_quotient_is_morphism(catalog):
@@ -387,7 +387,7 @@ def test_join_engine_fits_under_an_address_space_cap(catalog):
 def test_related_classes_reps(catalog):
     i2 = catalog["i2"]
     c = cg.enumerate_congruences(i2)[1]
-    assert c.related(0, 5) and not c.related(4, 6)
+    assert c.class_of[0] == c.class_of[5] and c.class_of[4] != c.class_of[6]
     classes = c.classes()
     assert [len(x) for x in classes] == [5, 1, 1]
     assert list(c.reps()) == [0, 4, 6]

@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 import invsem
 from invsem import actions, core, fixtures, partial_bijections as pb, products
 from invsem.core import (IdempotentsDontCommute, NotAssociative, NotRegular,
-                         direct_product, dom, generated_subsemigroup,
-                         natural_leq, principal_left_ideal, ran, validate)
+                         direct_product, generated_subsemigroup, validate)
 
 
 def cube_witness(table):
@@ -370,31 +369,33 @@ def test_inverse_and_order_basics(catalog):
         # (ab)^-1 = b^-1 a^-1
         assert np.array_equal(inv[T], T[np.ix_(inv, inv)].T)
         for e in S.idempotents:
-            assert dom(S, e) == ran(S, e) == e
-        for a in range(n):
-            assert S.mul(ran(S, a), a) == a
-            assert natural_leq(S, a, a)
+            assert S.doms[e] == S.rans[e] == e
+        assert np.array_equal(T[S.rans, ar], ar)
+        assert S.leq[ar, ar].all()
+        # S.t^-1 = S.ran(t): column t^-1 of the table holds the same elements as column ran(t)
+        for t in range(n):
+            assert set(T[:, inv[t]].tolist()) == set(T[:, S.rans[t]].tolist()), (name, t)
 
 
 def test_dom_ran_in_partial_bijections():
     S, of = pb.symmetric_inverse_monoid(2)
     send01 = [i for i, b in of.items() if b.graph == (1, pb.UNDEF)][0]
-    d, r = dom(S, send01), ran(S, send01)
+    d, r = S.doms[send01], S.rans[send01]
     assert of[d].graph == (0, pb.UNDEF)
     assert of[r].graph == (pb.UNDEF, 1)
 
 
 def test_natural_order_examples(catalog):
     chain2 = catalog["chain2"]
-    assert natural_leq(chain2, 0, 1) and not natural_leq(chain2, 1, 0)
+    assert chain2.leq[0, 1] and not chain2.leq[1, 0]
     S, of = pb.symmetric_inverse_monoid(2)
     ident = [i for i, b in of.items() if b.graph == (0, 1)][0]
     id0 = [i for i, b in of.items() if b.graph == (0, pb.UNDEF)][0]
-    assert natural_leq(S, id0, ident)
+    assert S.leq[id0, ident]
     # restriction of a map is below it
     send01 = [i for i, b in of.items() if b.graph == (1, pb.UNDEF)][0]
     swap = [i for i, b in of.items() if b.graph == (1, 0)][0]
-    assert natural_leq(S, send01, swap) and not natural_leq(S, swap, send01)
+    assert S.leq[send01, swap] and not S.leq[swap, send01]
     # antisymmetry and transitivity on the whole monoid
     leq = S.leq
     assert not (leq & leq.T & ~np.eye(S.order, dtype=bool)).any()
@@ -413,32 +414,17 @@ def test_order_compatible_with_product(catalog):
                 if not leq[a, b]:
                     continue
                 for c in range(S.order):
-                    assert leq[S.mul(a, c), S.mul(b, c)]
-                    assert leq[S.mul(c, a), S.mul(c, b)]
+                    assert leq[S.table[a, c], S.table[b, c]]
+                    assert leq[S.table[c, a], S.table[c, b]]
                 assert leq[S.inv[a], S.inv[b]]
-
-
-def test_principal_left_ideal(catalog):
-    chain2 = catalog["chain2"]
-    assert principal_left_ideal(chain2, 1) == {0, 1}
-    assert principal_left_ideal(chain2, 0) == {0}
-    S, of = pb.symmetric_inverse_monoid(2)
-    id0 = [i for i, b in of.items() if b.graph == (0, pb.UNDEF)][0]
-    ideal = principal_left_ideal(S, id0)
-    assert len(ideal.members) == 3
-    # S.t^-1 = S.ran(t) for every t
-    for t in range(S.order):
-        lhs = principal_left_ideal(S, int(S.inv[t]))
-        rhs = principal_left_ideal(S, ran(S, t))
-        assert lhs == rhs.members
 
 
 def test_generated_subsemigroup():
     S, of = pb.symmetric_inverse_monoid(2)
     send01 = [i for i, b in of.items() if b.graph == (1, pb.UNDEF)][0]
     got = generated_subsemigroup(S, {send01})
-    assert len(got.members) == 5
-    assert generated_subsemigroup(S, got.members) == got.members
+    assert isinstance(got, frozenset) and len(got) == 5
+    assert generated_subsemigroup(S, got) == got
     e = [i for i, b in of.items() if b.graph == (0, pb.UNDEF)][0]
     assert generated_subsemigroup(S, {e}) == {e}
 
@@ -512,8 +498,8 @@ def test_every_finite_semilattice_has_zero(catalog):
         col = E.table[0]
         bottom = col[0]
         for x in range(E.order):
-            bottom = E.mul(bottom, x)
-        assert all(E.mul(bottom, x) == bottom for x in range(E.order))
+            bottom = E.table[bottom, x]
+        assert (E.table[bottom] == bottom).all()
 
 
 def test_json_round_trip(catalog):

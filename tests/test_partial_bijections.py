@@ -76,30 +76,6 @@ def test_identity_neutral():
     assert f(0) == 2 and f(1) is None and f.rank == 2
 
 
-def test_generate_single_shift():
-    # one rank-1 map generates itself, its inverse, both restrictions
-    # of the identity, and the empty map
-    f = pb.from_pairs(2, [(0, 1)])
-    S, of = pb.generate(2, [f])
-    assert S.order == 5
-    assert S.names == ("1>0", "0>1", "empty", "1>1", "0>0")
-    graphs = {of[i].graph for i in range(5)}
-    assert graphs == {(-1, 0), (1, -1), (-1, -1), (-1, 1), (0, -1)}
-
-
-def test_generate_whole_monoid():
-    # a transposition plus one rank-1 restriction generate all of degree 2
-    t = pb.from_pairs(2, [(0, 1), (1, 0)])
-    e = pb.from_pairs(2, [(0, 0)])
-    S, _ = pb.generate(2, [t, e])
-    assert S.order == 7
-
-
-def test_generate_rejects_mixed_degrees():
-    with pytest.raises(pb.DegreeMismatch):
-        pb.generate(2, [pb.identity(3)])
-
-
 def pb_as_dict(b):
     return {"degree": b.degree, "graph": [[x, v] for x, v in enumerate(b.graph) if v != pb.UNDEF]}
 

@@ -110,7 +110,7 @@ def test_hull_is_found_once_per_semigroup(catalog, monkeypatch):
 
 def test_brandt_hull_is_the_symmetric_monoid(catalog):
     h = th.enumerate_hull(catalog["b2"])
-    assert mo.isomorphism_search(h.sg, catalog["i2"]) is not None
+    assert mo.all_isomorphisms(h.sg, catalog["i2"])
 
 
 def test_pair_laws(catalog):
@@ -169,13 +169,31 @@ def test_every_pair_respects_every_congruence(catalog):
 def test_downharp_sends_inner_to_inner(catalog):
     i2 = catalog["i2"]
     rees = cg.enumerate_congruences(i2)[1]
-    Q, qmap = cg.quotient(rees)
+    Q, qmap = rees.quotient
     for s in range(i2.order):
-        got = th.downharp(*th.inner(i2, s), rees, (Q, qmap))
+        got = th.downharp(*th.inner(i2, s), rees)
         assert same(got, th.inner(Q, int(qmap[s])))
     # stacked pairs give stacked induced pairs
-    lam, rho = th.downharp(*th.inner(i2, np.arange(i2.order)), rees, (Q, qmap))
+    lam, rho = th.downharp(*th.inner(i2, np.arange(i2.order)), rees)
     assert np.array_equal(lam, Q.table[qmap]) and np.array_equal(rho, Q.table.T[qmap])
+
+
+def test_quotient_is_built_once_per_congruence(catalog, monkeypatch):
+    # a fresh copy, with a fresh congruence, so that nothing is cached on them
+    S = core.validate(catalog["i2"].table)
+    theta = cg.enumerate_congruences(S)[1]
+    built = []
+    real = cg.quotient
+    monkeypatch.setattr(cg, "quotient", lambda c: built.append(c) or real(c))
+    he = th.hull_of_extension(S, theta)
+    assert all(th.prop35_check(he).values())
+    sol = mo.ExtensionSolution(S, theta)
+    assert mo.solves(sol.induced_triple, sol)[0]
+    assert built == [theta, he.omega]
+    Q, qmap = theta.quotient
+    assert Q is he.Q and qmap is he.qmap
+    with pytest.raises(ValueError, match="read-only"):
+        qmap[0] = 0
 
 
 def test_downharp_rejects_torn_pair(catalog):
