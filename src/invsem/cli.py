@@ -169,12 +169,11 @@ def _load_instance(report, path):
 def _congruence(data, where, S):
     """The congruence on S whose labels are data['class_of'], or a usage error."""
     labels = _field(data, "class_of", where)
-    if (not isinstance(labels, list) or len(labels) != S.order
-            or not all(isinstance(x, int) for x in labels)):
+    if not isinstance(labels, list) or len(labels) != S.order or not _int_cells(labels):
         raise UsageError(f"{where}: 'class_of' must list {S.order} integer labels, "
                          f"one per element")
     try:
-        return congruences.is_congruence(S, labels)
+        return congruences.congruence_from_map(S, labels)
     except congruences.NotCompatible as exc:
         raise UsageError(f"{where}: 'class_of' is not a congruence: {exc}") from None
 
@@ -354,8 +353,7 @@ def cmd_check_solution(args):
     sdata = _read(report, args.solution)
     S = _instance(_field(sdata, "s", args.solution), f"{args.solution} 's'")
     theta = _congruence(_field(sdata, "theta", args.solution), args.solution, S)
-    sol = morphisms.ExtensionSolution(S, theta)
-    ok, witness = morphisms.solves(triple, sol)
+    ok, witness = morphisms.solves(triple, theta)
     report.checks.append(Check("solves", ok, witness))
     return report
 
@@ -461,25 +459,23 @@ def _wreath_pairs(max_order):
 
 def _lemma21(P):
     """Lemma 2.1's psi onto the restricted product, and both products as
-    extension solutions along their second projections."""
+    extensions along the congruences of their second projections."""
     psi, rsd, _ = products.psi_lemma21(P)
-    sol_l = morphisms.ExtensionSolution(P.sg, products.pi2_congruence(P))
-    sol_r = morphisms.ExtensionSolution(rsd.sg, products.pi2_congruence(rsd))
-    return psi, rsd, sol_l, sol_r
+    return psi, rsd, products.pi2_congruence(P), products.pi2_congruence(rsd)
 
 
 def _pair_product_restricts(P):
-    psi, _, sol_l, sol_r = _lemma21(P)
-    return morphisms.solution_embedding(psi, sol_l, sol_r, iso=True)
+    psi, _, theta_l, theta_r = _lemma21(P)
+    return morphisms.solution_embedding(psi, theta_l, theta_r, iso=True)
 
 
 def _embeddings_transfer_both_ways(P):
-    psi, rsd, sol_l, sol_r = _lemma21(P)
+    psi, rsd, theta_l, theta_r = _lemma21(P)
     back = np.empty(rsd.sg.order, dtype=np.int64)
     back[psi.map] = np.arange(P.sg.order)
     phi = morphisms.is_homomorphism(back, rsd.sg, P.sg)
-    return (morphisms.solution_embedding(psi, sol_l, sol_r, iso=True)
-            and morphisms.solution_embedding(phi, sol_r, sol_l, iso=True))
+    return (morphisms.solution_embedding(psi, theta_l, theta_r, iso=True)
+            and morphisms.solution_embedding(phi, theta_r, theta_l, iso=True))
 
 
 def _eps_decomposition(eps):
@@ -542,9 +538,9 @@ def _round_trip(P):
 
 
 def _fiber_compatible_power_closed(P):
-    sol = morphisms.ExtensionSolution(P.sg, congruences.congruence_from_map(P.sg, P.pi2.map))
+    theta = congruences.congruence_from_map(P.sg, P.pi2.map)
     try:
-        products.build_p_eta(sol.induced_triple)
+        products.build_p_eta(morphisms.induced_triple(theta))
     except products.ProductInvalid as exc:
         return False, exc.witness
     return True

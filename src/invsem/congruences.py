@@ -94,24 +94,6 @@ class Congruence:
         return hash((id(self.parent), self.class_of.tobytes()))
 
 
-def _as_class_of(S, partition):
-    if isinstance(partition, Congruence):
-        return np.asarray(partition.class_of)
-    part = list(partition)
-    if len(part) == S.order and all(np.isscalar(x) or isinstance(x, (int, np.integer)) for x in part):
-        return np.asarray(part, dtype=np.int64)
-    class_of = np.full(S.order, -1, dtype=np.int64)
-    for j, cls in enumerate(part):
-        for x in cls:
-            if class_of[int(x)] != -1:
-                raise ValueError(f"element {x} listed twice")
-            class_of[int(x)] = j
-    if (class_of == -1).any():
-        missing = int(np.flatnonzero(class_of == -1)[0])
-        raise ValueError(f"element {missing} not covered by the partition")
-    return class_of
-
-
 def _compatible(T, C):
     """ok[i] iff the labelling C[i], in [0, n), is a congruence of the table T:
     c(xs) = c(m(x)s) and c(sx) = c(s m(x)) for all x and s, where m(x) is the
@@ -144,25 +126,12 @@ def _compat_witness(S, c):
     return None
 
 
-def is_congruence(S, partition):
-    c = _canon(_as_class_of(S, partition))
-    if not _compatible(S.table, c)[0]:
-        raise NotCompatible(*_compat_witness(S, c))
-    theta = Congruence(S, c, int(c.max()) + 1)
-    # inversion compatibility comes for free on inverse semigroups
-    rep_of = theta.reps()[c]
-    bad = np.flatnonzero(c[S.inv] != c[S.inv[rep_of]])
-    if len(bad):
-        raise ValueError(f"the inverse of {int(bad[0])} is not in the class of "
-                         f"the inverse of its class representative {int(rep_of[bad[0]])}")
-    return theta
-
-
 def congruence_from_map(S, values):
     """Kernel of any map out of S that is multiplicative on classes."""
     c = _canon(values)
     if not _compatible(S.table, c)[0]:
         raise NotCompatible(*_compat_witness(S, c))
+    # S/theta is inverse (Howie 1995, section 5.1), so [a^-1] is the inverse of [a]: no check
     return Congruence(S, c, int(c.max()) + 1)
 
 
@@ -317,8 +286,7 @@ def trace(theta):
     """Restriction to the idempotents, as a congruence on E(S)."""
     S = theta.parent
     E, elems = core.idempotent_semilattice(S)
-    c = _canon(theta.class_of[elems])
-    return is_congruence(E, c)
+    return congruence_from_map(E, theta.class_of[elems])
 
 
 def quotient(theta):

@@ -98,42 +98,20 @@ def require(mask, violation, reason, label=lambda *cell: cell):
 class FiniteSemigroup:
     order: int
     table: np.ndarray
-    names: tuple | None = None
     # a read-only copy of the table in the narrowest unsigned dtype that holds
     # order - 1, uint8 up to order 256 and uint16 above: checks that touch
     # n^2 cells gather from it, while the table itself stays int64
-    narrow: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        narrow = self.table.astype(np.min_scalar_type(self.order - 1))
-        narrow.flags.writeable = False
-        object.__setattr__(self, "narrow", narrow)
+    narrow: np.ndarray = field(repr=False)
+    names: tuple | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class InverseSemigroup:
-    base: FiniteSemigroup
+@dataclass(frozen=True, eq=False, kw_only=True)
+class InverseSemigroup(FiniteSemigroup):
     inv: np.ndarray
     idempotents: tuple
     # the set Light's test ran on, which generates the semigroup; None when the
     # whole cube was compared, and for tables not built by validate
     generators: tuple | None = None
-
-    @property
-    def order(self):
-        return self.base.order
-
-    @property
-    def table(self):
-        return self.base.table
-
-    @property
-    def names(self):
-        return self.base.names
-
-    @property
-    def narrow(self):
-        return self.base.narrow
 
     @cached_property
     def doms(self):
@@ -284,17 +262,14 @@ def validate(table, names=None):
     Past `CUBE_CELLS` the result keeps the set Light's test ran on as its
     `generators`.
     """
-    if isinstance(table, FiniteSemigroup):
-        base = table
-    else:
-        arr = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValueError(f"table must be a nonempty square array, got shape {arr.shape}")
-        base = FiniteSemigroup(arr.shape[0], arr, tuple(names) if names is not None else None)
-    n = base.order
-    if base.table.min() < 0 or base.table.max() >= n:
+    arr = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise ValueError(f"table must be a nonempty square array, got shape {arr.shape}")
+    n = arr.shape[0]
+    if arr.min() < 0 or arr.max() >= n:
         raise ValueError("table entries must lie in [0, n)")
-    T = base.narrow
+    T = arr.astype(np.min_scalar_type(n - 1))
+    T.flags.writeable = False
     gens = None if n ** 3 <= CUBE_CELLS else tuple(_light_generators(T))
     w = _assoc_witness(T) if gens is None else _light_witness(T, gens)
     if w is not None:
@@ -315,7 +290,10 @@ def validate(table, names=None):
             raise NotRegular(a)
         raise ValueError(f"element {a} has inverses {int(cand[0])} and {int(cand[1])}, "
                          f"though idempotents commute")
-    return InverseSemigroup(base, partner.argmax(axis=1), tuple(int(e) for e in idem), gens)
+    return InverseSemigroup(order=n, table=arr, narrow=T,
+                            names=tuple(names) if names is not None else None,
+                            inv=partner.argmax(axis=1),
+                            idempotents=tuple(int(e) for e in idem), generators=gens)
 
 
 def product_closure(table, seeds, inside=None):

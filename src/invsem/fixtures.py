@@ -5,13 +5,34 @@ the command line verifier quantify over the same data.
 """
 
 from functools import cache
+from itertools import product
 
-from . import actions, core, partial_bijections
+import numpy as np
+
+from . import actions, core
 from .core import validate
 
 
 def _min_table(n):
     return [[min(i, j) for j in range(n)] for i in range(n)]
+
+
+def symmetric_inverse_monoid(n):
+    """I_n, every partial injective map on {0..n-1}; order sum C(n,k)^2 k!.
+
+    A map is its graph, a row with -1 where it is undefined, and the
+    elements are the injective rows in lexicographic order; the product
+    i*j is map i after map j.
+    """
+    G = np.array([g for g in product(range(-1, n), repeat=n)
+                  if len(set(g) - {-1}) == n - g.count(-1)], dtype=np.int64)
+    # a -1 column last, so that a point where j is undefined stays undefined
+    padded = np.hstack([G, np.full((len(G), 1), -1)])
+    w = (n + 1) ** np.arange(n - 1, -1, -1)     # lexicographic order sorts these codes
+    table = np.searchsorted((G + 1) @ w, (padded[:, G] + 1) @ w)
+    names = [",".join(f"{x}>{v}" for x, v in enumerate(g) if v >= 0) or "empty"
+             for g in G.tolist()]
+    return validate(table, names=names)
 
 
 @cache
@@ -35,8 +56,8 @@ def catalog():
         [0, 0, 0, 3, 4],
     ]
     out["b2"] = validate(b2, names=["0", "e11", "a12", "a21", "e22"])
-    out["i1"] = partial_bijections.symmetric_inverse_monoid(1)[0]
-    out["i2"] = partial_bijections.symmetric_inverse_monoid(2)[0]
+    out["i1"] = symmetric_inverse_monoid(1)
+    out["i2"] = symmetric_inverse_monoid(2)
     return out
 
 

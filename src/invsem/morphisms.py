@@ -2,8 +2,9 @@
 
 An extension problem is a kernel semigroup K, a quotient T, and a
 surjection from K onto the idempotents of T.  A candidate answer is a
-semigroup with a congruence; `solves` decides whether it realizes the
-problem and returns the witnessing pair of isomorphisms.
+congruence theta, on the semigroup S = theta.parent; `solves` decides
+whether (S, theta) realizes the problem and returns the witnessing pair
+of isomorphisms.
 
 `search_homomorphisms` is the one search behind every enumerator that
 looks for a product-preserving map: endomorphisms, actions and eps maps
@@ -44,9 +45,6 @@ class Morphism:
     map: np.ndarray
     injective: bool
     surjective: bool
-
-    def __call__(self, a):
-        return int(self.map[a])
 
     @property
     def bijective(self):
@@ -218,17 +216,12 @@ def make_triple(K, T, eta_values_in_t):
     return NormalExtensionTriple(K, T, eta, elems)
 
 
-@dataclass(frozen=True, eq=False)
-class ExtensionSolution:
-    S: InverseSemigroup
-    theta: congruences.Congruence
-
-    @cached_property
-    def induced_triple(self):
-        """The extension problem this pair answers tautologically."""
-        Ksub, kelems, _ = self.theta.kernel_sub
-        Q, qmap = self.theta.quotient
-        return make_triple(Ksub, Q, qmap[kelems])
+def induced_triple(theta):
+    """The extension problem that (S, theta) answers tautologically:
+    Ker theta over S/theta."""
+    Ksub, kelems, _ = theta.kernel_sub
+    Q, qmap = theta.quotient
+    return make_triple(Ksub, Q, qmap[kelems])
 
 
 def _fibres(S, over):
@@ -237,19 +230,21 @@ def _fibres(S, over):
     return sorted((S.profiles[e], int(size[e])) for e in S.idempotents)
 
 
-def solves(triple, solution):
-    """Does (S, theta) realize the extension problem?  Returns (bool, witness).
+def solves(triple, theta):
+    """Does (S, theta), S = theta.parent, realize the extension problem?
+    Returns (bool, witness).
 
     A yes needs isomorphisms beta: T -> S/theta and chi: K -> Ker theta
     with the class of chi(a) equal to beta(eta(a)) for every a.
     """
     K, T = triple.K, triple.T
-    if max(K.order, T.order, solution.S.order) > SOLUTION_BOUND:
-        raise TooLarge("solution check", solution.S.order, SOLUTION_BOUND)
-    Q, qmap = solution.theta.quotient
+    size = max(K.order, T.order, theta.parent.order)
+    if size > SOLUTION_BOUND:
+        raise TooLarge("solution check", size, SOLUTION_BOUND)
+    Q, qmap = theta.quotient
     if Q.order != T.order:
         return False, "quotient-order-mismatch"
-    Ksub, kelems, _ = solution.theta.kernel_sub
+    Ksub, kelems, _ = theta.kernel_sub
     if Ksub.order != K.order:
         return False, "kernel-order-mismatch"
     eta_t = triple.eta_in_t
@@ -269,18 +264,20 @@ def solves(triple, solution):
     return False, "no-compatible-isomorphism-pair"
 
 
-def solution_embedding(phi, sol, sol2, iso=False):
-    """Is phi an embedding (or isomorphism) of one solution into another?
+def solution_embedding(phi, theta, theta2, iso=False):
+    """Is phi an embedding (or isomorphism) of the extension (S, theta) into
+    (S2, theta2), S and S2 the congruences' parents?
 
     Means: phi injective (raise NotInjective otherwise), phi maps the
     kernel into (onto, when iso) the kernel, and relatedness is both
     preserved and reflected.
     """
+    S, S2 = theta.parent, theta2.parent
     if not isinstance(phi, Morphism):
-        phi = is_homomorphism(phi, sol.S, sol2.S)
-    if phi.source is not sol.S or phi.target is not sol2.S:
-        side = "source" if phi.source is not sol.S else "target"
-        raise ValueError(f"phi's {side} is not the semigroup of its solution")
+        phi = is_homomorphism(phi, S, S2)
+    if phi.source is not S or phi.target is not S2:
+        side = "source" if phi.source is not S else "target"
+        raise ValueError(f"phi's {side} is not the parent of its congruence")
     if not phi.injective:
         m = phi.map
         seen = {}
@@ -290,10 +287,10 @@ def solution_embedding(phi, sol, sol2, iso=False):
             seen[v] = a
     if iso and not phi.surjective:
         return False
-    k2 = congruences.kernel(sol2.theta)
-    image_k = {int(phi.map[a]) for a in congruences.kernel(sol.theta)}
+    k2 = congruences.kernel(theta2)
+    image_k = {int(phi.map[a]) for a in congruences.kernel(theta)}
     if not (image_k == k2 if iso else image_k <= k2):
         return False
-    c1 = congruences._canon(sol.theta.class_of)
-    c2 = congruences._canon(sol2.theta.class_of[phi.map])
+    c1 = congruences._canon(theta.class_of)
+    c2 = congruences._canon(theta2.class_of[phi.map])
     return bool(np.array_equal(c1, c2))

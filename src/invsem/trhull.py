@@ -299,10 +299,8 @@ def prop35_check(he):
     out["down_surjective"] = down_m.surjective
     out["down_kernel_is_omega"] = bool(
         np.array_equal(congruences._canon(he.down), he.omega.class_of))
-    sol_big = morphisms.ExtensionSolution(he.sg, he.omega)
-    sol_small = morphisms.ExtensionSolution(he.S, he.theta)
     phi = morphisms.is_homomorphism(he.pi_member, he.S, he.sg)
-    out["pi_embeds_solution"] = morphisms.solution_embedding(phi, sol_small, sol_big)
+    out["pi_embeds_solution"] = morphisms.solution_embedding(phi, he.theta, he.omega)
     Qh, qh = he.omega.quotient
     iota = np.empty(he.Q.order, dtype=np.int64)
     for q in range(he.Q.order):

@@ -91,8 +91,8 @@ def test_rees_extension_of_degree2_monoid_has_none(catalog):
 def test_inner_valued_cases_are_classical(catalog):
     cases = [
         ("b2", cg.diagonal(catalog["b2"])),
-        ("clifford4", cg.is_congruence(catalog["clifford4"], [0, 1, 0, 1])),
-        ("z2_zero", cg.is_congruence(catalog["z2_zero"], [0, 1, 1])),
+        ("clifford4", cg.congruence_from_map(catalog["clifford4"], [0, 1, 0, 1])),
+        ("z2_zero", cg.congruence_from_map(catalog["z2_zero"], [0, 1, 1])),
     ]
     for name, theta in cases:
         S = catalog[name]
@@ -204,7 +204,7 @@ def test_thm42_embedding_builds_only_hwr_eta(catalog, monkeypatch):
     for name in ("build_hwr", "build_lwr", "Psi_remark"):
         monkeypatch.setattr(pr, name, refuse)
     cases = [("b2", cg.diagonal), ("b2", cg.universal), ("chain3", cg.universal),
-             ("fork", lambda S: cg.is_congruence(S, [0, 1, 0]))]
+             ("fork", lambda S: cg.congruence_from_map(S, [0, 1, 0]))]
     for name, theta_of in cases:
         S = catalog[name]
         theta = theta_of(S)
@@ -305,8 +305,8 @@ def test_prop39_positive_cases(catalog):
     cases = [
         ("b2", cg.universal(catalog["b2"])),
         ("fork", cg.universal(catalog["fork"])),
-        ("z2_zero", cg.is_congruence(catalog["z2_zero"], [0, 1, 1])),
-        ("clifford4", cg.is_congruence(catalog["clifford4"], [0, 1, 0, 1])),
+        ("z2_zero", cg.congruence_from_map(catalog["z2_zero"], [0, 1, 1])),
+        ("clifford4", cg.congruence_from_map(catalog["clifford4"], [0, 1, 0, 1])),
     ]
     for name, theta in cases:
         out = bh.prop39_check(catalog[name], theta)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from invsem import actions, cli, core, fixtures
+from invsem import actions, cli, congruences, core, fixtures
 
 
 def write(tmp_path, name, obj):
@@ -139,8 +139,8 @@ def test_bad_class_of_is_usage_error(tmp_path, capsys):
     triple = write(tmp_path, "triple.json", {"k": {"order": 3, "table": MIN3},
                                              "t": {"order": 3, "table": MIN3},
                                              "eta": [0, 1, 2]})
-    # too short, too long, not integers, not a congruence
-    for labels in ([0], [0, 1, 2, 3], ["a", "b", "c"], [0, 1, 0]):
+    # too short, too long, not integers, JSON booleans, not a congruence
+    for labels in ([0], [0, 1, 2, 3], ["a", "b", "c"], [True, True, False], [0, 1, 0]):
         cong = write(tmp_path, "cong.json", {"class_of": labels})
         sol = write(tmp_path, "sol.json", {"s": {"order": 3, "table": MIN3},
                                            "theta": {"class_of": labels}})
@@ -470,6 +470,56 @@ def test_check_solution(tmp_path, capsys):
     code, report = cli.run(["check-solution", triple, bad])
     assert code == 1
     assert report.checks[0].witness == "quotient-order-mismatch"
+
+
+def test_check_solution_reports_the_largest_order_past_the_bound(tmp_path, capsys):
+    """K is a chain of 65 over the trivial T, S is chain2: the size that
+    exceeds the bound is K's, not S's."""
+    n = 65
+    chain = {"order": n, "table": [[min(a, b) for b in range(n)] for a in range(n)]}
+    triple = write(tmp_path, "triple.json", {"k": chain, "t": {"order": 1, "table": [[0]]},
+                                             "eta": [0] * n})
+    sol = write(tmp_path, "sol.json", {"s": {"order": 2, "table": [[0, 0], [0, 1]]},
+                                       "theta": {"class_of": [0, 0]}})
+    code, report = cli.run(["check-solution", triple, sol])
+    assert code == 3
+    assert report.checks[0].witness == {"what": "solution check", "size": n, "bound": 64}
+
+
+@st.composite
+def _congruence_json(draw, S):
+    """A congruence file for S: mostly one of its congruences, its labels
+    shifted by any integer, with up to two labels replaced by bad cells,
+    else a nest of bad cells of any shape; mostly under "class_of", else
+    under another key or in no object."""
+    thetas = [c.class_of.astype(object) + draw(st.integers(-2**70, 2**70))
+              for c in congruences.enumerate_congruences(S)]
+    labels = np.array(draw(st.sampled_from(thetas)), dtype=object)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        labels[draw(st.integers(0, S.order - 1))] = draw(_bad_cells)
+    value = labels.tolist() if draw(st.integers(0, 4)) else draw(st.recursive(
+        _bad_cells, lambda inner: st.lists(inner, max_size=5), max_leaves=20))
+    return draw(st.sampled_from([{"class_of": value}] * 4 + [
+        {"class_of": value, "other": 0}, {"other": value}, value, [{"class_of": value}]]))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_congruence_file_exit_codes(tmp_path_factory, data):
+    """trhull --congruence, billhardt find and check-solution's theta exit 0,
+    1 or 2, and raise nothing, whatever the congruence file holds, on every
+    catalog instance of order <= 4."""
+    S = fixtures.catalog()[data.draw(st.sampled_from(fixtures.sweep_names(4)))]
+    tmp = tmp_path_factory.mktemp("cong")
+    s = inst(tmp, "s.json", S)
+    cong = data.draw(_congruence_json(S))
+    f = write(tmp, "f.json", cong)
+    triple = write(tmp, "triple.json", {"k": core.as_dict(S), "t": core.as_dict(S),
+                                        "eta": S.doms.tolist()})
+    sol = write(tmp, "sol.json", {"s": core.as_dict(S), "theta": cong})
+    for argv in (["trhull", s, "--congruence", f], ["billhardt", "find", s, f],
+                 ["check-solution", triple, sol]):
+        assert cli.run(argv)[0] in (0, 1, 2), argv
 
 
 def test_billhardt_find(tmp_path, capsys, catalog):

@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import invsem
-from invsem import actions, core, fixtures, partial_bijections as pb, products
+from invsem import actions, core, fixtures, products
 from invsem.core import (IdempotentsDontCommute, NotAssociative, NotRegular,
                          direct_product, generated_subsemigroup, validate)
 
@@ -378,23 +379,23 @@ def test_inverse_and_order_basics(catalog):
 
 
 def test_dom_ran_in_partial_bijections():
-    S, of = pb.symmetric_inverse_monoid(2)
-    send01 = [i for i, b in of.items() if b.graph == (1, pb.UNDEF)][0]
+    S = fixtures.symmetric_inverse_monoid(2)
+    send01 = S.names.index("0>1")
     d, r = S.doms[send01], S.rans[send01]
-    assert of[d].graph == (0, pb.UNDEF)
-    assert of[r].graph == (pb.UNDEF, 1)
+    assert S.names[d] == "0>0"
+    assert S.names[r] == "1>1"
 
 
 def test_natural_order_examples(catalog):
     chain2 = catalog["chain2"]
     assert chain2.leq[0, 1] and not chain2.leq[1, 0]
-    S, of = pb.symmetric_inverse_monoid(2)
-    ident = [i for i, b in of.items() if b.graph == (0, 1)][0]
-    id0 = [i for i, b in of.items() if b.graph == (0, pb.UNDEF)][0]
+    S = fixtures.symmetric_inverse_monoid(2)
+    ident = S.names.index("0>0,1>1")
+    id0 = S.names.index("0>0")
     assert S.leq[id0, ident]
     # restriction of a map is below it
-    send01 = [i for i, b in of.items() if b.graph == (1, pb.UNDEF)][0]
-    swap = [i for i, b in of.items() if b.graph == (1, 0)][0]
+    send01 = S.names.index("0>1")
+    swap = S.names.index("0>1,1>0")
     assert S.leq[send01, swap] and not S.leq[swap, send01]
     # antisymmetry and transitivity on the whole monoid
     leq = S.leq
@@ -420,12 +421,12 @@ def test_order_compatible_with_product(catalog):
 
 
 def test_generated_subsemigroup():
-    S, of = pb.symmetric_inverse_monoid(2)
-    send01 = [i for i, b in of.items() if b.graph == (1, pb.UNDEF)][0]
+    S = fixtures.symmetric_inverse_monoid(2)
+    send01 = S.names.index("0>1")
     got = generated_subsemigroup(S, {send01})
     assert isinstance(got, frozenset) and len(got) == 5
     assert generated_subsemigroup(S, got) == got
-    e = [i for i, b in of.items() if b.graph == (0, pb.UNDEF)][0]
+    e = S.names.index("0>0")
     assert generated_subsemigroup(S, {e}) == {e}
 
 
@@ -515,10 +516,11 @@ def test_json_round_trip(catalog):
 
 
 _FAKE_IDEMPOTENT = """
+from dataclasses import replace
 from invsem import core, fixtures
 z2 = fixtures.catalog()["z2"]
 try:
-    core.idempotent_semilattice(core.InverseSemigroup(z2.base, z2.inv, (0, 1)))
+    core.idempotent_semilattice(replace(z2, idempotents=(0, 1)))
 except ValueError as exc:
     print(exc)
 """
@@ -527,7 +529,7 @@ except ValueError as exc:
 def test_verdicts_survive_python_O(catalog):
     # an InverseSemigroup built by hand, listing the non-idempotent 1 of Z2
     z2 = catalog["z2"]
-    fake = core.InverseSemigroup(z2.base, z2.inv, (0, 1))
+    fake = replace(z2, idempotents=(0, 1))
     with pytest.raises(ValueError, match="element 1 ") as e:
         core.idempotent_semilattice(fake)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -559,3 +561,19 @@ def test_no_assert_decides_a_verdict():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_readme_bounds_table_matches_the_code():
+    """README's "Size bounds" table lists, in its Constant column, exactly
+    the constants passed as the bound of a `TooLarge(what, size, bound)` in
+    the package."""
+    raised = set()
+    for path in sorted(Path(invsem.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        raised |= {f"{path.stem}.{node.args[2].id}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "TooLarge"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Size bounds", 1)[1].split("\n## ", 1)[0]
+    listed = [row.split("|")[3].strip().strip("`") for row in section.splitlines()
+              if row.startswith("|") and "`" in row.split("|")[3]]
+    assert len(listed) == len(set(listed)) and set(listed) == raised

@@ -1,108 +1,65 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+"""The symmetric inverse monoid I_n as `fixtures.symmetric_inverse_monoid`
+builds it, against partial maps held as dicts."""
 
-from invsem import partial_bijections as pb
-from invsem.core import TooLarge
+import hashlib
+
+import numpy as np
+
+from invsem.fixtures import symmetric_inverse_monoid
 
 
-def random_pb(degree):
-    """Strategy: a partial injective map on {0..degree-1}."""
-    def build(seed):
-        xs = list(range(degree))
-        graph = [pb.UNDEF] * degree
-        free = list(range(degree))
-        for x in xs:
-            pick = seed % (len(free) + 1)
-            seed //= len(free) + 1
-            if pick < len(free):
-                graph[x] = free.pop(pick)
-        return pb.PartialBijection(degree, tuple(graph))
-    return st.integers(min_value=0, max_value=10**6).map(build)
+def as_dict(name):
+    """The partial map an element name spells, "x>v,..." or "empty"."""
+    if name == "empty":
+        return {}
+    return {int(x): int(v) for x, v in (pair.split(">") for pair in name.split(","))}
 
 
 def test_monoid_orders():
     # sum over k of C(n,k)^2 * k!
     for n, expect in [(0, 1), (1, 2), (2, 7), (3, 34), (4, 209)]:
-        S, of = pb.symmetric_inverse_monoid(n)
+        S = symmetric_inverse_monoid(n)
         assert S.order == expect
-        assert len(of) == expect
-
-
-def test_degree_bound():
-    with pytest.raises(TooLarge) as e:
-        pb.symmetric_inverse_monoid(5)
-    assert e.value.size == 5 and e.value.bound == pb.SYM_DEGREE_BOUND
-    with pytest.raises(ValueError):
-        pb.symmetric_inverse_monoid(-1)
+        maps = [as_dict(name) for name in S.names]
+        # every partial injective map once, in the lexicographic order of its
+        # graph with -1 for undefined
+        graphs = [tuple(f.get(x, -1) for x in range(n)) for f in maps]
+        assert graphs == sorted(set(graphs))
+        assert all(len(set(f.values())) == len(f) for f in maps)
 
 
 def test_table_matches_composition():
-    S, of = pb.symmetric_inverse_monoid(2)
-    for i in range(S.order):
-        for j in range(S.order):
-            assert of[S.table[i, j]] == pb.compose(of[i], of[j])
-        # table-level inverse agrees with map-level inverse
-        assert of[S.inv[i]] == pb.inverse(of[i])
+    for n in (2, 3):
+        S = symmetric_inverse_monoid(n)
+        maps = [as_dict(name) for name in S.names]
+        for i, f in enumerate(maps):
+            for j, g in enumerate(maps):
+                # i*j is i after j
+                assert maps[S.table[i, j]] == {x: f[v] for x, v in g.items() if v in f}
 
 
 def test_idempotents_are_partial_identities():
-    S, of = pb.symmetric_inverse_monoid(3)
-    idem = {of[int(e)].graph for e in S.idempotents}
-    partial_ids = set()
-    for mask in range(8):
-        g = tuple(x if mask >> x & 1 else pb.UNDEF for x in range(3))
-        partial_ids.add(g)
-    assert idem == partial_ids  # 2^3 of them
+    n = 3
+    S = symmetric_inverse_monoid(n)
+    idem = {tuple(sorted(as_dict(S.names[e]).items())) for e in S.idempotents}
+    partial_ids = {tuple((x, x) for x in range(n) if mask >> x & 1) for mask in range(2 ** n)}
+    assert idem == partial_ids and len(idem) == 2 ** n
 
 
-def test_constructor_rejections():
-    with pytest.raises(ValueError):
-        pb.PartialBijection(2, (0, 0))  # not injective
-    with pytest.raises(ValueError):
-        pb.PartialBijection(2, (2, pb.UNDEF))  # value out of range
-    with pytest.raises(ValueError):
-        pb.PartialBijection(2, (0,))  # wrong length
-    with pytest.raises(ValueError):
-        pb.from_pairs(2, [(0, 0), (0, 1)])  # duplicate source
-    with pytest.raises(pb.DegreeMismatch):
-        pb.compose(pb.identity(2), pb.identity(3))
+def test_inverses_are_graph_inverses():
+    for n in (2, 3, 4):
+        S = symmetric_inverse_monoid(n)
+        maps = [as_dict(name) for name in S.names]
+        for f, finv in zip(maps, S.inv):
+            assert maps[finv] == {v: x for x, v in f.items()}
 
 
-def test_identity_neutral():
-    one = pb.identity(3)
-    f = pb.from_pairs(3, [(0, 2), (2, 1)])
-    assert pb.compose(one, f) == f
-    assert pb.compose(f, one) == f
-    assert f(0) == 2 and f(1) is None and f.rank == 2
+def test_tables_and_names_are_pinned():
+    digests = {3: "0e92be389615965b293eb3bafc0e306325d46bc6b7561c6ddbc4927ed99a0857",
+               4: "c77e76e2f27fdc8a615d0daa51d062b14deb47bad4bb29cbf84d4ece444e4b97"}
+    for n, digest in digests.items():
+        S = symmetric_inverse_monoid(n)
+        h = hashlib.sha256(np.asarray(S.table, dtype="<i8").tobytes())
+        h.update("\n".join(S.names).encode())
+        assert h.hexdigest() == digest, n
 
-
-def pb_as_dict(b):
-    return {"degree": b.degree, "graph": [[x, v] for x, v in enumerate(b.graph) if v != pb.UNDEF]}
-
-
-def pb_from_dict(d):
-    return pb.from_pairs(d["degree"], d.get("graph", []))
-
-
-def test_json_round_trip():
-    f = pb.from_pairs(4, [(0, 3), (2, 2), (3, 1)])
-    d = pb_as_dict(f)
-    assert d == {"degree": 4, "graph": [[0, 3], [2, 2], [3, 1]]}
-    assert pb_from_dict(d) == f
-    empty = pb.PartialBijection(2, (pb.UNDEF, pb.UNDEF))
-    assert pb_from_dict(pb_as_dict(empty)) == empty
-
-
-@settings(max_examples=50, deadline=None)
-@given(random_pb(4))
-def test_inverse_laws(f):
-    assert pb.inverse(pb.inverse(f)) == f
-    assert pb.compose(pb.compose(f, pb.inverse(f)), f) == f
-    assert pb.compose(pb.compose(pb.inverse(f), f), pb.inverse(f)) == pb.inverse(f)
-
-
-@settings(max_examples=50, deadline=None)
-@given(random_pb(3), random_pb(3), random_pb(3))
-def test_composition_laws(f, g, h):
-    assert pb.compose(pb.compose(f, g), h) == pb.compose(f, pb.compose(g, h))
-    assert pb.inverse(pb.compose(f, g)) == pb.compose(pb.inverse(g), pb.inverse(f))

@@ -187,8 +187,7 @@ def test_quotient_is_built_once_per_congruence(catalog, monkeypatch):
     monkeypatch.setattr(cg, "quotient", lambda c: built.append(c) or real(c))
     he = th.hull_of_extension(S, theta)
     assert all(th.prop35_check(he).values())
-    sol = mo.ExtensionSolution(S, theta)
-    assert mo.solves(sol.induced_triple, sol)[0]
+    assert mo.solves(mo.induced_triple(theta), theta)[0]
     assert built == [theta, he.omega]
     Q, qmap = theta.quotient
     assert Q is he.Q and qmap is he.qmap
@@ -198,7 +197,7 @@ def test_quotient_is_built_once_per_congruence(catalog, monkeypatch):
 
 def test_downharp_rejects_torn_pair(catalog):
     z2z = catalog["z2_zero"]
-    theta = cg.is_congruence(z2z, [0, 1, 1])
+    theta = cg.congruence_from_map(z2z, [0, 1, 1])
     fake = (np.array([0, 1, 0]), np.array([0, 1, 0]))
     assert not th.respects(*fake, theta)
     with pytest.raises(th.DoesNotRespect) as e:
@@ -243,7 +242,7 @@ def test_projection_realizes_the_quotient(catalog):
         ("fork", cg.diagonal(catalog["fork"])),
         ("b2", cg.diagonal(catalog["b2"])),
         ("i2", cg.enumerate_congruences(catalog["i2"])[1]),
-        ("z2_zero", cg.is_congruence(catalog["z2_zero"], [0, 1, 1])),
+        ("z2_zero", cg.congruence_from_map(catalog["z2_zero"], [0, 1, 1])),
     ]
     for name, theta in cases:
         he = th.hull_of_extension(catalog[name], theta)
