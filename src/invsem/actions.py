@@ -187,10 +187,7 @@ def check_AE7_AE8(action, eps):
 def check_modified(action, decomp):
     """Classwise form: e fixes its fiber, and t maps fiber(e) into fiber(ran(te))."""
     T, A, ar = action.T, action.act, np.arange(action.K.order)
-    eta = decomp.eta
-    embed = decomp.embed
-    if embed is None:
-        raise ValueError("decomposition must embed its semilattice into T")
+    eta, embed = decomp.eta, decomp.embed
     e_of = embed[eta.map]               # K element -> its class idempotent in T
     cell = core.least_cell(A[e_of, ar] != ar)
     if cell is not None:
@@ -277,8 +274,7 @@ def induced_kernel_action(P):
     fiber formulas, so the two can be compared independently.
     """
     T = P.T
-    theta = congruences.congruence_from_map(P.sg, P.pi2.map)
-    Ksub, kelems, _ = theta.kernel_sub
+    Ksub, kelems, _ = P.pi2_congruence.kernel_sub
     pairs = P.elements[kelems]
     A, E = pairs.T
     pairdex = np.full(P.pairdex.shape, -1, dtype=np.int64)

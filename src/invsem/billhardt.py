@@ -12,7 +12,7 @@ embedding, which builds both wreaths.
 """
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -35,9 +35,15 @@ class TransversalInvalid(core.Violation):
 
 @dataclass(frozen=True, eq=False)
 class Transversal:
+    """A choice checked where it is made: construction runs
+    `validate_transversal`, raising TransversalInvalid, and keeps its record."""
     he: trhull.HullOfExtension
     xi: np.ndarray              # quotient element -> member position
     split: bool
+    record: dict = field(init=False, repr=False)    # axiom -> verdict
+
+    def __post_init__(self):
+        object.__setattr__(self, "record", validate_transversal(self))
 
 
 def down_fiber(he, t):
@@ -145,12 +151,10 @@ def enumerate_transversals(S, theta, want_split=False, he=None):
     else:
         choices = product(*cands)
     for xi in choices:
-        tr = Transversal(he, np.array(xi, dtype=np.int64), want_split)
         try:
-            validate_transversal(tr)
+            yield Transversal(he, np.array(xi, dtype=np.int64), want_split)
         except TransversalInvalid:
             continue
-        yield tr
 
 
 def find_transversal(S, theta, want_split=False, he=None):
@@ -224,9 +228,8 @@ def prop39_check(S, theta):
 
 def theorem310_forward(P, he=None):
     """The shift pairs of a restricted pair product form a split choice."""
-    theta = congruences.congruence_from_map(P.sg, P.pi2.map)
     if he is None:
-        he = trhull.hull_of_extension(P.sg, theta)
+        he = trhull.hull_of_extension(P.sg, P.pi2_congruence)
     # the class of each t in the image of pi2, which must meet one class only
     pi2 = P.pi2.map
     q_of_t = np.full(P.T.order, -1, dtype=np.int64)
@@ -239,9 +242,7 @@ def theorem310_forward(P, he=None):
     _require(member < 0, "shift pair outside the extension hull", lambda i: int(ts[i]))
     xi = np.empty(he.Q.order, dtype=np.int64)
     xi[q_of_t[ts]] = member
-    tr = Transversal(he, xi, True)
-    validate_transversal(tr)
-    return tr
+    return Transversal(he, xi, True)
 
 
 def _verdict(bad, label=lambda *cell: cell):
@@ -288,7 +289,6 @@ def theorem310_backward(S, theta, tr):
     _require_extension(he, S, theta)
     if not tr.split:
         raise NotSplit("a multiplicative transversal is required")
-    validate_transversal(tr)
     Q, qmap = he.Q, he.qmap
     Ksub, kelems, kpos = theta.kernel_sub
     elt_of = _inner_element_of(he)
@@ -327,7 +327,7 @@ def _transversal_conjugate(tr, A, s, B):
     return tab[tab[tr.xi[A], he.pi_member[s]], he.sg.inv[tr.xi[B]]]
 
 
-def recovery_identity_holds(tr, s, printed_variant=False):
+def recovery_identity_holds(tr, s):
     """Pull the embedded element back out of its class-restricted map,
     elementwise over an array s."""
     he = tr.he
@@ -335,8 +335,7 @@ def recovery_identity_holds(tr, s, printed_variant=False):
     t = he.qmap[s]
     u = he.Q.rans[t]
     f_u = _transversal_conjugate(tr, u, s, he.Q.table[u, t])
-    last = he.sg.inv[tr.xi[t]] if printed_variant else tr.xi[t]
-    return tab[tab[he.sg.inv[tr.xi[u]], f_u], last] == he.pi_member[s]
+    return tab[tab[he.sg.inv[tr.xi[u]], f_u], tr.xi[t]] == he.pi_member[s]
 
 
 def _conjugate_digits(S, theta, tr):
@@ -345,7 +344,6 @@ def _conjugate_digits(S, theta, tr):
     for s over t with u = ran t; on the ideal Qu, xu = x and f is s's map."""
     he = tr.he
     _require_extension(he, S, theta)
-    validate_transversal(tr)
     Q, qmap = he.Q, he.qmap
     Ksub, kelems, kpos = theta.kernel_sub
     s = np.arange(S.order)[:, None]
@@ -370,13 +368,9 @@ def thm42_embedding(S, theta, tr):
     of its kernel by its quotient."""
     Ksub, kelems, digits = _conjugate_digits(S, theta, tr)
     Q, qmap = tr.he.Q, tr.he.qmap
-    hwe = products.build_hwr_eta(morphisms.make_triple(Ksub, Q, qmap[kelems]))
-    peta = hwe.pkt
-    U = Q.rans[qmap]
-    psi_vals = np.empty(S.order, dtype=np.int64)
-    for u, X in peta.ideals.items():
-        rows = np.flatnonzero(U == u)
-        psi_vals[rows] = hwe.rsd.pairdex[peta.encode(u, digits[rows][:, X]), qmap[rows]]
+    hwe = products.build_hwr_eta(actions.validate_eps(Ksub, Q, qmap[kelems]))
+    # s over t goes to (its map on the ideal Q ran(t), t)
+    psi_vals = hwe.rsd.pairdex[hwe.pkt.locate(Q.rans[qmap], digits), qmap]
     psi = morphisms.is_homomorphism(psi_vals, S, hwe.sg)
     _require_injective(psi, "psi")
     return WreathEmbedding(hwe, psi)
@@ -396,9 +390,5 @@ def total_map_route_agrees(S, theta, tr, emb):
     # psi(s) carried by value into the plain wreath: the same map and t there
     p, t = emb.hwr_eta.elements[emb.psi.map].T
     peta = emb.hwr_eta.pkt
-    e = peta.eps.map[p]
-    carried = np.empty(S.order, dtype=np.int64)
-    for g, (off, _) in peta.blocks.items():
-        rows = np.flatnonzero(e == g)
-        carried[rows] = hwr.rsd.pairdex[hwr.pkt.encode(g, peta.values[g][p[rows] - off]), t[rows]]
+    carried = hwr.rsd.pairdex[hwr.pkt.locate(peta.eps.map[p], peta.extend(p)), t]
     return bool((carried == restrict.map[phi.map]).all())

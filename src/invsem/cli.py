@@ -273,9 +273,8 @@ def cmd_product(args):
     elif args.kind == "hwr-eta":
         if not args.eta:
             raise UsageError("product hwr-eta requires --eta")
-        triple = _map(_read(report, args.eta), "map", args.eta,
-                      partial(morphisms.make_triple, K, T))
-        P = products.build_hwr_eta(triple)
+        eta = _map(_read(report, args.eta), "map", args.eta, partial(actions.validate_eps, K, T))
+        P = products.build_hwr_eta(eta)
     else:
         P = products.build_lwr(K, T)
     out = core.as_dict(P.sg, array=np.asarray)
@@ -349,11 +348,11 @@ def cmd_check_solution(args):
     tdata = _read(report, args.triple)
     K = _instance(_field(tdata, "k", args.triple), f"{args.triple} 'k'")
     T = _instance(_field(tdata, "t", args.triple), f"{args.triple} 't'")
-    triple = _map(tdata, "eta", args.triple, partial(morphisms.make_triple, K, T))
+    eta = _map(tdata, "eta", args.triple, partial(actions.validate_eps, K, T))
     sdata = _read(report, args.solution)
     S = _instance(_field(sdata, "s", args.solution), f"{args.solution} 's'")
     theta = _congruence(_field(sdata, "theta", args.solution), args.solution, S)
-    ok, witness = morphisms.solves(triple, theta)
+    ok, witness = morphisms.solves(eta, theta)
     report.checks.append(Check("solves", ok, witness))
     return report
 
@@ -374,12 +373,11 @@ def cmd_billhardt(args):
         report.checks.append(Check("transversal-exists", False))
         return report
     report.checks.append(Check("transversal-exists", True))
-    record = billhardt.validate_transversal(tr)
-    for k, v in sorted(record.items()):
+    for k, v in sorted(tr.record.items()):
         report.checks.append(Check(f"axiom:{k}", bool(v)))
     report.extra["certificate"] = {
         "xi": _transversal_descriptor(tr),
-        "axioms": record,
+        "axioms": tr.record,
         "classification": billhardt.classify_classical(tr),
     }
     if tr.split:
@@ -442,7 +440,7 @@ def _extensions(max_order):
     out = [(f"{name}#cong{i}", (S, th)) for name, S in _catalog_upto(max_order)
            for i, th in enumerate(congruences.enumerate_congruences(S))]
     for label, P in _rsd_sweep(8):
-        out.append((label, (P.sg, congruences.congruence_from_map(P.sg, P.pi2.map))))
+        out.append((label, (P.sg, P.pi2_congruence)))
     return out
 
 
@@ -461,7 +459,7 @@ def _lemma21(P):
     """Lemma 2.1's psi onto the restricted product, and both products as
     extensions along the congruences of their second projections."""
     psi, rsd, _ = products.psi_lemma21(P)
-    return psi, rsd, products.pi2_congruence(P), products.pi2_congruence(rsd)
+    return psi, rsd, P.pi2_congruence, rsd.pi2_congruence
 
 
 def _pair_product_restricts(P):
@@ -531,16 +529,14 @@ def _intermediate_subsemigroup_criterion(S):
 
 
 def _round_trip(P):
-    theta = congruences.congruence_from_map(P.sg, P.pi2.map)
     tr = billhardt.theorem310_forward(P)
-    _, phi = billhardt.theorem310_backward(P.sg, theta, tr)
+    _, phi = billhardt.theorem310_backward(P.sg, P.pi2_congruence, tr)
     return phi.bijective
 
 
 def _fiber_compatible_power_closed(P):
-    theta = congruences.congruence_from_map(P.sg, P.pi2.map)
     try:
-        products.build_p_eta(morphisms.induced_triple(theta))
+        products.build_p_eta(morphisms.induced_triple(P.pi2_congruence))
     except products.ProductInvalid as exc:
         return False, exc.witness
     return True

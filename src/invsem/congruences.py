@@ -309,11 +309,12 @@ def quotient(theta):
 class SemilatticeDecomposition:
     eta: object                 # morphism onto a semilattice
     classes: tuple              # classes[e] = members of the fiber over e
-    embed: np.ndarray | None = None   # optional: semilattice index -> ambient index
+    embed: np.ndarray           # semilattice index -> ambient index
 
 
-def decomposition_along(eta, embed=None):
-    """Split the source of eta into fibers over its semilattice codomain."""
+def decomposition_along(eta, embed):
+    """Split the source of eta into fibers over its semilattice codomain,
+    which embed lists inside an ambient semigroup."""
     E = eta.target
     if not core.is_semilattice(E):
         raise NotSemilatticeCodomain(f"codomain of order {E.order} is not a semilattice")
@@ -333,8 +334,7 @@ def decomposition_along(eta, embed=None):
     if cell is not None:
         raise ValueError(f"element {cell[0]} and its inverse lie in different fibers")
     classes = tuple(np.flatnonzero(emap == e) for e in range(E.order))
-    if embed is not None:
-        embed = np.asarray(embed, dtype=np.int64)
-        if len(embed) != E.order:
-            raise ValueError(f"embed has {len(embed)} entries for a semilattice of order {E.order}")
+    embed = np.asarray(embed, dtype=np.int64)
+    if len(embed) != E.order:
+        raise ValueError(f"embed has {len(embed)} entries for a semilattice of order {E.order}")
     return SemilatticeDecomposition(eta, classes, embed)

@@ -258,7 +258,8 @@ def validate(table, names=None):
     """Check a Cayley table and enrich it into an InverseSemigroup.
 
     The inverse map is computed, never supplied: one array pass, on the
-    narrow copy of the table, finds each a's unique x with axa = a, xax = x.
+    narrow copy of the table, finds each a's x with axa = a, xax = x, unique
+    once the table is associative and its idempotents commute.
     Past `CUBE_CELLS` the result keeps the set Light's test ran on as its
     `generators`.
     """
@@ -280,16 +281,12 @@ def validate(table, names=None):
     cell = least_cell(sub != sub.T)
     if cell is not None:
         raise IdempotentsDontCommute(*(int(idem[i]) for i in cell))
-    # partner[a, x] iff (ax)a = a and (xa)x = x
+    # partner[a, x] iff (ax)a = a and (xa)x = x; on an associative table
+    # whose idempotents commute, a has at most one (Howie 1995, Thm 5.1.1)
     partner = (T[T, ar[:, None]] == ar[:, None]) & (T[T.T, ar] == ar)
-    unique = partner.sum(axis=1) == 1
-    if not unique.all():
-        a = int(np.flatnonzero(~unique)[0])
-        cand = np.flatnonzero(partner[a])
-        if len(cand) == 0:
-            raise NotRegular(a)
-        raise ValueError(f"element {a} has inverses {int(cand[0])} and {int(cand[1])}, "
-                         f"though idempotents commute")
+    regular = partner.any(axis=1)
+    if not regular.all():
+        raise NotRegular(int(regular.argmin()))
     return InverseSemigroup(order=n, table=arr, narrow=T,
                             names=tuple(names) if names is not None else None,
                             inv=partner.argmax(axis=1),

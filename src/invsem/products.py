@@ -4,8 +4,10 @@ This module alone decides how an element of a built semigroup is coded.
 A pair product's element i is the row elements[i] = (a, t) of an (m, 2)
 array, and pairdex[a, t] is i, or -1 off the carrier.  A pointwise power's
 element p is the map on the ideal Te, e = eps.map[p], whose values are a
-row of values[e]; encode(e, values) gives back p.  Callers go between
-elements and coordinates by array gathers on these.
+row of values[e]; encode(e, values) gives back p.  Other modules read a
+power's elements only through `locate`, the maps that agree with rows of
+total maps T -> K, and `extend`, each map as the total map x -> p(x e).
+Callers go between elements and coordinates by array gathers on these.
 
 Two pair rules share one vectorized table builder: the unrestricted one
 keeps (a,t) with ran(t).a = a and multiplies as ((ran(tu).a)(t.b), tu);
@@ -23,6 +25,7 @@ intermediates in the narrow dtypes of K and T.
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +72,12 @@ class PairProduct:
     pairdex: np.ndarray         # (|K|, |T|): pair -> element, -1 off the carrier
     sg: InverseSemigroup
     pi2: morphisms.Morphism
+
+    @cached_property
+    def pi2_congruence(self):
+        """The kernel of pi2, built once per product, so that its kernel and
+        quotient are too."""
+        return congruences.congruence_from_map(self.sg, self.pi2.map)
 
 
 def _pair_names(K, T, elements):
@@ -128,10 +137,6 @@ def build_rsd(K, T, action, eps):
     return _build_pair_product(K, T, action, eps, eps.map[:, None] == T.rans[None, :])
 
 
-def pi2_congruence(P):
-    return congruences.congruence_from_map(P.sg, P.pi2.map)
-
-
 def psi_lemma21(P):
     """(a,t) -> ((a, ran t), t): the unrestricted product, rebuilt as restricted."""
     ka = actions.induced_kernel_action(P)
@@ -184,6 +189,26 @@ class PointwisePower:
         code = np.einsum("...k,k->...", d, self.weights[e])
         code += self.blocks[e][0]
         return code
+
+    def locate(self, e, values):
+        """For each row i of values, an (m, |T|) array, the index of the map on
+        the ideal T e[i] with the values that row has there."""
+        out = np.empty(len(e), dtype=np.int64)
+        for g, points in self.ideals.items():
+            rows = np.flatnonzero(e == g)
+            out[rows] = self.encode(g, values[rows][:, points])
+        return out
+
+    def extend(self, p):
+        """Each map p as the total map x -> p(x eps(p)), one row of |T| values
+        per element of the array p."""
+        e = self.eps.map[p]
+        out = np.empty((len(p), self.T.order), dtype=np.int64)
+        for g, points in self.ideals.items():
+            rows = np.flatnonzero(e == g)
+            at = np.searchsorted(points, self.T.table[:, g])   # x -> the position of xg in Tg
+            out[rows] = self.values[g][p[rows] - self.blocks[g][0]][:, at]
+        return out
 
 
 def build_pkt(K, T, fibers=None):
@@ -281,20 +306,20 @@ def build_hwr(K, T):
     return _wreath_over(K, T)
 
 
-def _eta_fibers(triple):
-    """Each x's fiber: the kernel class over ran(x)."""
-    T = triple.T
-    return [np.flatnonzero(triple.eta_in_t == T.rans[x]) for x in range(T.order)]
+def _eta_fibers(eta):
+    """Each x's fiber: the kernel class over ran(x), eta an EpsilonMap K ->> E(T)."""
+    T = eta.T
+    return [np.flatnonzero(eta.map == T.rans[x]) for x in range(T.order)]
 
 
-def build_p_eta(triple):
+def build_p_eta(eta):
     """The pointwise power of the maps sending each x into the kernel fiber
     over ran(x): over e it is the direct product of those kernel classes."""
-    return build_pkt(triple.K, triple.T, _eta_fibers(triple))
+    return build_pkt(eta.K, eta.T, _eta_fibers(eta))
 
 
-def build_hwr_eta(triple):
-    return _wreath_over(triple.K, triple.T, _eta_fibers(triple))
+def build_hwr_eta(eta):
+    return _wreath_over(eta.K, eta.T, _eta_fibers(eta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,30 +373,18 @@ def build_lwr(K, T):
 def Psi_remark(lwr, hwr):
     """Restrict each total map to the ideal of ran(t); bijective morphism."""
     _require_over(lwr.K, lwr.T, hwr=hwr)
-    pkt = hwr.pkt
     F, U = lwr.elements.T
-    E = lwr.T.rans[U]
-    values = np.empty(len(F), dtype=np.int64)
-    for e, points in pkt.ideals.items():
-        rows = np.flatnonzero(E == e)
-        restricted = pkt.encode(e, lwr.digits[F[rows][:, None], points])
-        values[rows] = hwr.rsd.pairdex[restricted, U[rows]]
-    psi = morphisms.is_homomorphism(values, lwr.sg, hwr.sg)
+    restricted = hwr.pkt.locate(lwr.T.rans[U], lwr.digits[F])
+    psi = morphisms.is_homomorphism(hwr.rsd.pairdex[restricted, U], lwr.sg, hwr.sg)
     _require_bijective(psi, "Psi")
     return psi
 
 
 def hbar_inverse(lwr, hwr):
     """Extend each ideal map to a total one along x -> x.ran(t)."""
-    pkt = hwr.pkt
     P, U = hwr.elements.T
-    E = pkt.eps.map[P]          # = ran(t) on the restricted carrier
-    values = np.empty(len(P), dtype=np.int64)
-    for e, points in pkt.ideals.items():
-        rows = np.flatnonzero(E == e)
-        digits = pkt.values[e][P[rows] - pkt.blocks[e][0]]
-        total = digits[:, np.searchsorted(points, lwr.T.table[:, e])]
-        values[rows] = lwr.lsd.pairdex[total @ lwr.weights, U[rows]]
-    phi = morphisms.is_homomorphism(values, hwr.sg, lwr.sg)
+    # eps(p) = ran(t) on the restricted carrier
+    total = hwr.pkt.extend(P)
+    phi = morphisms.is_homomorphism(lwr.lsd.pairdex[total @ lwr.weights, U], hwr.sg, lwr.sg)
     _require_bijective(phi, "hbar inverse")
     return phi

@@ -302,11 +302,8 @@ def prop35_check(he):
     phi = morphisms.is_homomorphism(he.pi_member, he.S, he.sg)
     out["pi_embeds_solution"] = morphisms.solution_embedding(phi, he.theta, he.omega)
     Qh, qh = he.omega.quotient
-    iota = np.empty(he.Q.order, dtype=np.int64)
-    for q in range(he.Q.order):
-        s = int(np.flatnonzero(he.qmap == q)[0])
-        iota[q] = qh[he.pi_member[s]]
-    iota_m = morphisms.is_homomorphism(iota, he.Q, Qh)
+    # class q of theta, through its least member, to the class of its inner pair
+    iota_m = morphisms.is_homomorphism(qh[he.pi_member[he.theta.reps()]], he.Q, Qh)
     out["iota_bijective_morphism"] = iota_m.bijective
     return out
 
@@ -334,9 +331,8 @@ def shift_pairs_are_translations(P):
     pi2 = P.pi2.map
     ts = np.arange(T.order)[:, None]
     lam, rho = omega_bracket(P, ts[:, 0])
-    theta = congruences.congruence_from_map(P.sg, pi2)
     return {"linked": bool(is_bitranslation(P.sg, lam, rho).all()),
-            "respects_fibers": bool(respects(lam, rho, theta).all()),
+            "respects_fibers": bool(respects(lam, rho, P.pi2_congruence).all()),
             "induces_shift": bool(np.array_equal(pi2[lam], T.table[ts, pi2])
                                   and np.array_equal(pi2[rho], T.table[pi2, ts]))}
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from invsem import congruences, core, fixtures, products
+from invsem import congruences, core, fixtures
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +54,7 @@ def zero_with_atoms():
 
 def _kernel_via_congruence(P):
     """Members of the kernel of ker(pi2), through the congruence machinery."""
-    return congruences.kernel(products.pi2_congruence(P))
+    return congruences.kernel(P.pi2_congruence)
 
 
 def _kernel_lsd(P):

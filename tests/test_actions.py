@@ -6,7 +6,6 @@ from collections import Counter
 from functools import cache, cached_property
 from itertools import groupby, product
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -670,14 +669,6 @@ def test_gluing_laws_match_loops(data):
     else:
         rebuilt = ac.rebuild_from_structure(ac.strong_semilattice(bad, eps))
         assert np.array_equal(rebuilt, expect)
-
-
-def test_check_modified_needs_embedding(catalog):
-    action = ac.enumerate_actions(catalog["chain2"], catalog["chain2"])[0]
-    eps = ac.enumerate_surjective_eps(catalog["chain2"], catalog["chain2"])[0]
-    decomp = _eps_decomposition(eps)
-    with pytest.raises(ValueError, match="must embed its semilattice"):
-        ac.check_modified(action, SimpleNamespace(eta=decomp.eta, embed=None))
 
 
 def test_induced_kernel_action(rsd_fixtures):

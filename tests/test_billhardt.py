@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invsem import billhardt as bh, cli
+from invsem import billhardt as bh, cli, core
 from invsem import congruences as cg
 from invsem import morphisms as mo, products as pr, trhull as th
 from invsem.core import TooLarge
@@ -41,8 +41,7 @@ def test_transversal_existence_at_order_5(catalog):
             if tr is None:
                 missing.append((name, tuple(int(x) for x in theta.class_of)))
             else:
-                record = bh.validate_transversal(tr)
-                assert record["B1"] and record["B2"]
+                assert tr.record["B1"] and tr.record["B2"]
     assert missing == [("square4", (0, 0, 0, 1))]
 
 
@@ -113,15 +112,16 @@ def test_validate_rejections(catalog):
     b2 = catalog["b2"]
     univ = cg.universal(b2)
     he = th.hull_of_extension(b2, univ)
-    # a non-idempotent choice cannot be multiplicative over the point quotient
+    # a non-idempotent choice cannot be multiplicative over the point quotient;
+    # a transversal is checked where it is made
     pos_a12 = int(he.pi_member[2])
     with pytest.raises(bh.TransversalInvalid) as e:
-        bh.validate_transversal(bh.Transversal(he, np.array([pos_a12]), True))
+        bh.Transversal(he, np.array([pos_a12]), True)
     assert e.value.reason == "not-multiplicative"
     # an inner zero pair fails dominance
     pos_zero = int(he.pi_member[0])
     with pytest.raises(bh.TransversalInvalid) as e:
-        bh.validate_transversal(bh.Transversal(he, np.array([pos_zero]), False))
+        bh.Transversal(he, np.array([pos_zero]), False)
     assert e.value.reason == "dominance-failure"
     assert e.value.witness == (0, 1)    # (class, least generated pair it fails to dominate)
     # wrong fiber
@@ -130,8 +130,49 @@ def test_validate_rejections(catalog):
     he2 = th.hull_of_extension(i2, rees)
     xi = np.array([0, 0, 0])
     with pytest.raises(bh.TransversalInvalid) as e:
-        bh.validate_transversal(bh.Transversal(he2, xi, False))
+        bh.Transversal(he2, xi, False)
     assert e.value.reason == "induced-pair-mismatch"
+
+
+def test_transversals_are_checked_once_where_made(catalog, monkeypatch):
+    """validate_transversal runs once per Transversal constructed, and the
+    rebuilds of Thm 3.10 and Thm 4.2 trust the record: on b2's diagonal they
+    ran it again, three times in all per transversal."""
+    checked = []
+    check = bh.validate_transversal
+    monkeypatch.setattr(bh, "validate_transversal", lambda tr: checked.append(tr) or check(tr))
+    b2 = catalog["b2"]
+    diag = cg.diagonal(b2)
+    made = []
+    init = bh.Transversal.__init__
+
+    def counting_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(bh.Transversal, "__init__", counting_init)
+    tr = bh.find_transversal(b2, diag, want_split=True)
+    assert checked == made and tr in made
+    del checked[:]
+    bh.theorem310_backward(b2, diag, tr)
+    bh.thm42_embedding(b2, diag, tr)
+    assert checked == []
+    assert tr.record == {"B1": True, "B2": True, "multiplicative": True, "sB2": True}
+    again = bh.Transversal(tr.he, tr.xi, True)
+    assert checked == [again] and again.record == tr.record
+
+
+def test_thm42_embedding_builds_no_idempotent_semilattice(catalog, monkeypatch):
+    # the extension problem is the eps map Ker theta ->> E(S/theta) itself
+    def refuse(self):
+        raise AssertionError("thm42_embedding built E(T)")
+
+    b2 = catalog["b2"]
+    for theta in (cg.diagonal(b2), cg.universal(b2)):
+        tr = bh.find_transversal(b2, theta)
+        with monkeypatch.context() as m:
+            m.setattr(core.InverseSemigroup, "semilattice", property(refuse))
+            assert bh.thm42_embedding(b2, theta, tr).psi.injective
 
 
 def test_search_cap(catalog, monkeypatch):
@@ -161,11 +202,17 @@ def test_backward_requires_multiplicative(catalog):
 def test_recovery_identity(catalog):
     b2 = catalog["b2"]
     tr = bh.find_transversal(b2, cg.diagonal(b2), want_split=True)
-    corrected = [bh.recovery_identity_holds(tr, s) for s in range(5)]
-    assert corrected == [True] * 5
-    # reversing the final factor breaks recovery on the non-idempotents
-    printed = [bh.recovery_identity_holds(tr, s, printed_variant=True) for s in range(5)]
-    assert printed == [True, True, False, False, True]
+    s = np.arange(5)
+    assert bh.recovery_identity_holds(tr, s).tolist() == [True] * 5
+    # the printed formula, xi(u)^-1 f_u xi(t)^-1, reverses the final factor:
+    # it breaks recovery on the non-idempotents
+    he = tr.he
+    tab, inv = he.sg.table, he.sg.inv
+    t = he.qmap[s]
+    u = he.Q.rans[t]
+    f_u = bh._transversal_conjugate(tr, u, s, he.Q.table[u, t])
+    printed = tab[tab[inv[tr.xi[u]], f_u], inv[tr.xi[t]]] == he.pi_member[s]
+    assert printed.tolist() == [True, True, False, False, True]
 
 
 def _ideal_values(emb):

@@ -455,6 +455,45 @@ def test_check_afr_exit_codes_on_any_map_file(tmp_path_factory, data):
     assert cli.run(argv)[0] in (0, 1, 2)
 
 
+@st.composite
+def _instance_json(draw, S):
+    """S's instance file, mostly as it is, else with one table cell replaced
+    by a bad cell (or by another element, which may still validate)."""
+    doc = core.as_dict(S)
+    if draw(st.integers(0, 3)):
+        return doc
+    table = [row[:] for row in doc["table"]]
+    table[draw(st.integers(0, S.order - 1))][draw(st.integers(0, S.order - 1))] = draw(
+        _bad_cells)
+    return dict(doc, table=table)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_eta_file_exit_codes(tmp_path_factory, data):
+    """product hwr-eta exits 0, 1, 2 or 3 whatever its --eta file holds, and
+    check-solution whatever its triple file's eta, k and t hold, on every
+    ordered pair of catalog instances of order <= 4; neither raises."""
+    cat = fixtures.catalog()
+    names = fixtures.sweep_names(4)
+    kn, tn, sn = data.draw(st.tuples(*[st.sampled_from(names)] * 3))
+    K, T, S = cat[kn], cat[tn], cat[sn]
+    etas = [e.map for e in actions.enumerate_surjective_eps(K, T)] or [np.zeros(K.order, int)]
+    tmp = tmp_path_factory.mktemp("eta")
+    k, t = inst(tmp, "k.json", K), inst(tmp, "t.json", T)
+    eta = write(tmp, "eta.json", data.draw(_map_json("map", etas)))
+    argv = ["product", "hwr-eta", "--k", k, "--t", t, "--eta", eta, "-o", str(tmp / "w.json")]
+    assert cli.run(argv)[0] in (0, 1, 2, 3), argv
+    triple = data.draw(_map_json("eta", etas))
+    if isinstance(triple, dict):
+        triple = {"k": data.draw(_instance_json(K)), "t": data.draw(_instance_json(T))} | triple
+    theta = data.draw(st.sampled_from(congruences.enumerate_congruences(S)))
+    sol = write(tmp, "sol.json", {"s": core.as_dict(S),
+                                  "theta": {"class_of": theta.class_of.tolist()}})
+    argv = ["check-solution", write(tmp, "triple.json", triple), sol]
+    assert cli.run(argv)[0] in (0, 1, 2, 3), argv
+
+
 def test_check_solution(tmp_path, capsys):
     chain2 = {"order": 2, "table": [[0, 0], [0, 1]]}
     triple = write(tmp_path, "triple.json", {"k": chain2, "t": chain2, "eta": [0, 1]})

@@ -398,17 +398,21 @@ def test_decomposition_along(catalog):
     cf = catalog["clifford4"]
     chain2 = catalog["chain2"]
     eta = morphisms.is_homomorphism([0, 1, 0, 1], cf, chain2)
-    dec = cg.decomposition_along(eta)
+    # the codomain chain2 is its own semilattice of idempotents
+    dec = cg.decomposition_along(eta, embed=core.idempotent_semilattice(chain2)[1])
     assert [sorted(f) for f in dec.classes] == [[0, 2], [1, 3]]
+    assert dec.embed.tolist() == [0, 1]
     # each fiber is a closed subgroup
     for fiber in dec.classes:
         sub, _ = core.subsemigroup(cf, fiber)
         assert sub.order == 2
     with pytest.raises(cg.NotSemilatticeCodomain):
-        cg.decomposition_along(morphisms.is_homomorphism([0, 1], catalog["z2"], catalog["z2"]))
-    partial = morphisms.is_homomorphism([0, 1], chain2, catalog["chain3"])
+        cg.decomposition_along(morphisms.is_homomorphism([0, 1], catalog["z2"], catalog["z2"]),
+                               embed=[0, 1])
+    chain3 = catalog["chain3"]
+    partial = morphisms.is_homomorphism([0, 1], chain2, chain3)
     with pytest.raises(cg.NotSurjective):
-        cg.decomposition_along(partial)
+        cg.decomposition_along(partial, embed=core.idempotent_semilattice(chain3)[1])
     with pytest.raises(ValueError):
         cg.decomposition_along(eta, embed=[0, 1, 2])
 
@@ -417,5 +421,5 @@ def test_decomposition_along_rejects_non_morphism(catalog):
     # the identity of z2 onto the chain 0 < 1 is onto but breaks 0*g = g
     fake = SimpleNamespace(source=catalog["z2"], target=catalog["chain2"], map=[0, 1])
     with pytest.raises(morphisms.NotMultiplicative) as e:
-        cg.decomposition_along(fake)
+        cg.decomposition_along(fake, embed=[0, 1])
     assert e.value.witness == (0, 1)

@@ -63,8 +63,27 @@ def test_kernel_fibers_are_disjoint(rsd_fixtures, kernels):
 
 def test_quotient_by_second_projection(rsd_fixtures):
     for name, P in rsd_fixtures[:4]:
-        Q, _ = cg.quotient(pr.pi2_congruence(P))
+        Q, _ = cg.quotient(P.pi2_congruence)
         assert mo.all_isomorphisms(Q, P.T), name
+
+
+def test_pi2_congruence_is_built_once_per_product(rsd_fixtures, monkeypatch):
+    """The Thm 3.10 round trip, Prop 4.1's power and Lemma 3.6's shift pairs
+    read one congruence of pi2, so S/theta is built once a product: each of
+    them built its own before."""
+    from invsem import cli, trhull
+    calls = []
+    quotient = cg.quotient
+    monkeypatch.setattr(cg, "quotient", lambda theta: calls.append(theta) or quotient(theta))
+    for name, P in rsd_fixtures:
+        P = replace(P)              # a copy with nothing cached on it
+        theta = P.pi2_congruence
+        assert theta is P.pi2_congruence
+        assert np.array_equal(theta.class_of, cg.congruence_from_map(P.sg, P.pi2.map).class_of)
+        del calls[:]
+        assert cli._round_trip(P) and cli._fiber_compatible_power_closed(P)
+        assert all(trhull.shift_pairs_are_translations(P).values())
+        assert calls == [theta], name
 
 
 def test_unrestricted_rebuilds_as_restricted(lsd_fixtures):
@@ -126,6 +145,12 @@ def test_pfun_objectwise_laws(catalog):
         index = {al: i for i, al in enumerate(elements)}
         for e, (off, count) in pkt.blocks.items():
             assert pkt.encode(e, pkt.values[e]).tolist() == list(range(off, off + count))
+        # extend gives each map the value at x of x e; locate finds it again
+        p = np.arange(pkt.sg.order)
+        total = pkt.extend(p)
+        assert total.tolist() == [[dict(zip(ctx.ideals[e], v))[int(T.table[x, e])]
+                                   for x in range(T.order)] for e, v in elements]
+        assert pkt.locate(pkt.eps.map, total).tolist() == p.tolist()
         for i, al in enumerate(elements):
             assert index[ctx.inv(al)] == pkt.sg.inv[i]
             for j, be in enumerate(elements):
@@ -190,13 +215,13 @@ def test_total_and_ideal_forms_are_isomorphic(catalog):
 ORACLE_CAP = 400     # the filter route builds the whole power; keep it small
 
 
-def _p_eta_by_filter(triple):
+def _p_eta_by_filter(eta):
     """The route P_eta was once built by: the whole pointwise power, then
     the maps sending each x into the kernel fiber over ran(x), re-indexed."""
-    T = triple.T
+    T = eta.T
     with mock.patch.object(pr, "WREATH_CAP", ORACLE_CAP):
-        pkt = pr.build_pkt(triple.K, T)
-    allowed = T.rans[:, None] == triple.eta_in_t[None, :]      # [x, a]
+        pkt = pr.build_pkt(eta.K, T)
+    allowed = T.rans[:, None] == eta.map[None, :]     # [x, a]
     members = [i for i, (e, values) in enumerate(_decoded(pkt))
                if all(allowed[x, v] for x, v in zip(pkt.ideals[e].tolist(), values))]
     sub, pelems = core.subsemigroup(pkt.sg, members)
@@ -205,25 +230,25 @@ def _p_eta_by_filter(triple):
     return pkt, pelems, sub, act
 
 
-def _extension_triples(catalog, rsd_fixtures):
+def _extension_problems(catalog, rsd_fixtures):
     for name, S in catalog.items():
         for i, th in enumerate(cg.enumerate_congruences(S)):
             yield f"{name}#cong{i}", mo.induced_triple(th)
     for label, P in rsd_fixtures:
-        yield label, mo.induced_triple(pr.pi2_congruence(P))
+        yield label, mo.induced_triple(P.pi2_congruence)
 
 
 def test_range_compatible_power(catalog, rsd_fixtures):
     compared = 0
-    for label, triple in _extension_triples(catalog, rsd_fixtures):
-        T = triple.T
-        peta = pr.build_p_eta(triple)
+    for label, eta in _extension_problems(catalog, rsd_fixtures):
+        T = eta.T
+        peta = pr.build_p_eta(eta)
         # over e it is the direct product of the kernel classes over ran(x), x in Te
-        fiber = np.bincount(triple.eta_in_t, minlength=T.order)
+        fiber = np.bincount(eta.map, minlength=T.order)
         assert peta.sg.order == sum(math.prod(int(fiber[T.rans[x]]) for x in peta.ideals[e])
                                     for e in T.idempotents), label
         try:
-            pkt, pelems, sub, act = _p_eta_by_filter(triple)
+            pkt, pelems, sub, act = _p_eta_by_filter(eta)
         except TooLarge:
             continue
         whole = _decoded(pkt)
@@ -242,11 +267,11 @@ def test_range_compatible_power(catalog, rsd_fixtures):
 
 def test_eta_wreath_labels(catalog):
     cf, chain2 = catalog["clifford4"], catalog["chain2"]
-    hwe = pr.build_hwr_eta(mo.make_triple(cf, chain2, [0, 1, 0, 1]))
+    hwe = pr.build_hwr_eta(ac.validate_eps(cf, chain2, [0, 1, 0, 1]))
     assert hwe.sg.order == 6 and hwe.pkt.sg.order == 6
     # the whole power over chain3 has order 6 + 36 + 216 > NAME_CAP; P_eta has 14
     K, T = core.direct_product(catalog["z2"], catalog["chain3"]), catalog["chain3"]
-    hwe = pr.build_hwr_eta(mo.make_triple(K, T, np.arange(K.order) % 3))
+    hwe = pr.build_hwr_eta(ac.validate_eps(K, T, np.arange(K.order) % 3))
     assert hwe.pkt.sg.order == 14 and hwe.sg.order == 14
     assert hwe.sg.names[:4] == ("({0>(1,0)}|0)", "({0>(g,0)}|0)",
                                 "({0>(1,0),1>(1,1)}|1)", "({0>(1,0),1>(g,1)}|1)")
@@ -329,13 +354,13 @@ def test_size_caps(catalog):
 
 def test_eta_wreath_shares_the_wreath_cap(catalog, monkeypatch):
     # P_eta of the constant eta has order 2^3 = 8; the wreath over it, 3 * 8
-    triple = mo.make_triple(catalog["chain2"], catalog["z3"], [0, 0])
-    assert pr.build_p_eta(triple).sg.order == 8
-    assert pr.wreath_order(triple.K, triple.T, pr._eta_fibers(triple)) == 24
+    eta = ac.validate_eps(catalog["chain2"], catalog["z3"], [0, 0])
+    assert pr.build_p_eta(eta).sg.order == 8
+    assert pr.wreath_order(eta.K, eta.T, pr._eta_fibers(eta)) == 24
     monkeypatch.setattr(pr, "WREATH_CAP", 8)
     with pytest.raises(TooLarge) as e:
-        pr.build_hwr_eta(triple)
+        pr.build_hwr_eta(eta)
     assert (e.value.what, e.value.size, e.value.bound) == ("wreath order", 24, 8)
     with pytest.raises(TooLarge) as e:
-        pr.build_hwr(triple.K, triple.T)
+        pr.build_hwr(eta.K, eta.T)
     assert (e.value.what, e.value.size, e.value.bound) == ("wreath order", 24, 8)
